@@ -43,13 +43,9 @@ from .errors import (
 )
 from .exact_arith import (
     Ordering3,
-    Rational,
     RatInterval,
     compare,
     interval_div_scalar,
-    interval_mul,
-    rat_add,
-    rat_mul,
 )
 from .primes import (
     Factorization,
@@ -93,7 +89,6 @@ __all__ = [
     "Precision",
     "PrecisionCapExceeded",
     "RatInterval",
-    "Rational",
     "ResourceLimit",
     "RhoParams",
     "ScreenVerdict",
@@ -108,7 +103,6 @@ __all__ = [
     "generate_table",
     "geometric_split_check",
     "interval_div_scalar",
-    "interval_mul",
     "is_prime",
     "nth_prime",
     "perfect_check",
@@ -117,8 +111,6 @@ __all__ = [
     "prime_cap",
     "primes_window",
     "radical_screen",
-    "rat_add",
-    "rat_mul",
     "refine",
     "rho",
     "rho_limit",

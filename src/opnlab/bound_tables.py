@@ -25,7 +25,6 @@ from .errors import InvalidArgument
 from .exact_arith import Ordering3
 from .primes import nth_prime, primes_window
 
-_PREFIX_PRIMES = {1: (), 2: (3,), 3: (3, 5)}
 TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
 
 
@@ -67,9 +66,7 @@ class BoundTableRow:
 
 def rho(params: RhoParams) -> Fraction:
     """Exact window product for the given parameters."""
-    total = Fraction(1)
-    for p in _PREFIX_PRIMES[params.k]:
-        total *= Fraction(p + 1, p)
+    total = rho_limit(params.k)
     for p in primes_window(params.r, params.m - params.k + 1):
         total *= _reciprocal_geometric(p, params.alpha)
     return total

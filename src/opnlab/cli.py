@@ -5,6 +5,13 @@ human (default), csv, and jsonl; the machine formats are byte-deterministic
 for identical inputs.  Exit codes: 0 consistent/success, 1 refuted, 2 on
 usage or internal errors.  All decimal renderings are produced by exact
 long division of the underlying rationals, never through floating point.
+
+Each subcommand builds its output once as a list of flat records, whose keys
+are the csv columns and the jsonl keys.  csv is a header line plus one row
+per record; jsonl is one JSON object per record.  A missing value
+(None) is an empty csv cell and a JSON null.  A dict field (radical's
+``cases``) is one csv cell of ``label=value`` pairs joined by ';'.  A list
+field (radical's ``primes``) appears in jsonl only.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import bound_tables, screener
@@ -81,7 +89,25 @@ def _certified_digits(width: Fraction) -> int:
     return d + 1
 
 
-def _emit(lines) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return ";".join(f"{label}={v}" for label, v in value.items())
+    return str(value)
+
+
+def _render(fmt: str, records: list[dict], human) -> None:
+    """The only csv and jsonl writer (rules in the module docstring); human
+    output is the command's own ``human(records)`` lines."""
+    if fmt == "csv":
+        columns = [k for k, v in records[0].items() if not isinstance(v, list)]
+        lines = [",".join(columns)]
+        lines.extend(",".join(_cell(r[k]) for k in columns) for r in records)
+    elif fmt == "jsonl":
+        lines = [json.dumps(r) for r in records]
+    else:
+        lines = human(records)
     for line in lines:
         print(line)
 
@@ -89,41 +115,29 @@ def _emit(lines) -> None:
 # --- sigma ---------------------------------------------------------------
 
 
+def _sigma_lines(records) -> list[str]:
+    (r,) = records
+    return [
+        f"n: {r['n']}",
+        f"factorization: {r['factorization']}",
+        f"sigma: {r['sigma']}",
+        f"sigma_minus_one: {r['sigma_minus_one']} (~{r['sigma_minus_one_decimal']})",
+        f"classification: {r['classification']}",
+    ]
+
+
 def _cmd_sigma(args) -> int:
     f = parse_factorization(args.number)
     report = abundancy_report(f)
-    dec = decimal_str(report.sigma_minus_one, SIGMA_DECIMAL_DIGITS)
-    if args.format == "csv":
-        _emit(
-            [
-                "n,factorization,sigma,sigma_minus_one,sigma_minus_one_decimal,classification",
-                f"{report.n},{f},{report.sigma},{frac_str(report.sigma_minus_one)},"
-                f"{dec},{report.classification.value}",
-            ]
-        )
-    elif args.format == "jsonl":
-        print(
-            json.dumps(
-                {
-                    "n": report.n,
-                    "factorization": str(f),
-                    "sigma": report.sigma,
-                    "sigma_minus_one": frac_str(report.sigma_minus_one),
-                    "sigma_minus_one_decimal": dec,
-                    "classification": report.classification.value,
-                }
-            )
-        )
-    else:
-        _emit(
-            [
-                f"n: {report.n}",
-                f"factorization: {f}",
-                f"sigma: {report.sigma}",
-                f"sigma_minus_one: {frac_str(report.sigma_minus_one)} (~{dec})",
-                f"classification: {report.classification.value}",
-            ]
-        )
+    record = {
+        "n": report.n,
+        "factorization": str(f),
+        "sigma": report.sigma,
+        "sigma_minus_one": frac_str(report.sigma_minus_one),
+        "sigma_minus_one_decimal": decimal_str(report.sigma_minus_one, SIGMA_DECIMAL_DIGITS),
+        "classification": report.classification.value,
+    }
+    _render(args.format, [record], _sigma_lines)
     return 0
 
 
@@ -132,48 +146,32 @@ def _cmd_sigma(args) -> int:
 _CHECK_NAMES = ("eulerian_form", "perfect", "radical")
 
 
-def _verdict_cells(v: screener.ScreenVerdict) -> tuple[str, str, str]:
-    condition = v.violated_condition.value if v.violated_condition else ""
-    witness = frac_str(v.witness) if v.witness is not None else ""
-    dec = decimal_str(v.witness, SIGMA_DECIMAL_DIGITS) if v.witness is not None else ""
-    return condition, witness, dec
+def _verdict_fields(v: screener.ScreenVerdict) -> dict:
+    w = v.witness
+    return {
+        "outcome": v.outcome.value,
+        "violated_condition": v.violated_condition.value if v.violated_condition else None,
+        "witness": frac_str(w) if w is not None else None,
+        "witness_decimal": decimal_str(w, SIGMA_DECIMAL_DIGITS) if w is not None else None,
+    }
 
 
-def _verdict_line(name: str, v: screener.ScreenVerdict) -> str:
-    if not v.violates:
-        return f"{name}: ConsistentSoFar"
-    condition, witness, dec = _verdict_cells(v)
-    line = f"{name}: Violates[{condition}]"
-    if witness:
-        line += f" witness={witness} (~{dec})"
+def _verdict_line(name: str, r: dict) -> str:
+    line = f"{name}: {r['outcome']}"
+    if r["violated_condition"] is not None:
+        line += f"[{r['violated_condition']}]"
+    if r["witness"] is not None:
+        line += f" witness={r['witness']} (~{r['witness_decimal']})"
     return line
 
 
 def _cmd_screen(args) -> int:
     f = parse_factorization(args.factorization)
     verdicts = screener.full_screen(f)
-    if args.format == "csv":
-        lines = ["check,outcome,violated_condition,witness,witness_decimal"]
-        for name, v in zip(_CHECK_NAMES, verdicts):
-            condition, witness, dec = _verdict_cells(v)
-            lines.append(f"{name},{v.outcome.value},{condition},{witness},{dec}")
-        _emit(lines)
-    elif args.format == "jsonl":
-        for name, v in zip(_CHECK_NAMES, verdicts):
-            condition, witness, dec = _verdict_cells(v)
-            print(
-                json.dumps(
-                    {
-                        "check": name,
-                        "outcome": v.outcome.value,
-                        "violated_condition": condition or None,
-                        "witness": witness or None,
-                        "witness_decimal": dec or None,
-                    }
-                )
-            )
-    else:
-        _emit(_verdict_line(name, v) for name, v in zip(_CHECK_NAMES, verdicts))
+    records = [
+        {"check": name, **_verdict_fields(v)} for name, v in zip(_CHECK_NAMES, verdicts)
+    ]
+    _render(args.format, records, lambda rs: [_verdict_line(r["check"], r) for r in rs])
     return 1 if any(v.violates for v in verdicts) else 0
 
 
@@ -186,124 +184,71 @@ _MODES = {
 }
 
 
+def _radical_lines(records) -> list[str]:
+    (r,) = records
+    lines = [
+        "primes: " + " ".join(str(p) for p in r["primes"]),
+        f"mode: {r['mode']}",
+        _verdict_line("outcome", r),
+    ]
+    for label, value in r["cases"].items():
+        dec = decimal_str(Fraction(value), SIGMA_DECIMAL_DIGITS)
+        lines.append(f"{label}: {value} (~{dec})")
+    return lines
+
+
 def _cmd_radical(args) -> int:
     verdict = screener.radical_screen(args.primes, _MODES[args.mode])
-    cases = verdict.case_witnesses or ()
-    if args.format == "csv":
-        condition, witness, dec = _verdict_cells(verdict)
-        case_field = ";".join(f"{label}={frac_str(value)}" for label, value in cases)
-        _emit(
-            [
-                "mode,outcome,violated_condition,witness,witness_decimal,cases",
-                f"{args.mode},{verdict.outcome.value},{condition},{witness},{dec},{case_field}",
-            ]
-        )
-    elif args.format == "jsonl":
-        condition, witness, dec = _verdict_cells(verdict)
-        print(
-            json.dumps(
-                {
-                    "mode": args.mode,
-                    "primes": list(args.primes),
-                    "outcome": verdict.outcome.value,
-                    "violated_condition": condition or None,
-                    "witness": witness or None,
-                    "witness_decimal": dec or None,
-                    "cases": {label: frac_str(value) for label, value in cases},
-                }
-            )
-        )
-    else:
-        lines = [
-            "primes: " + " ".join(str(p) for p in args.primes),
-            f"mode: {args.mode}",
-            _verdict_line("outcome", verdict),
-        ]
-        for label, value in cases:
-            lines.append(
-                f"{label}: {frac_str(value)} (~{decimal_str(value, SIGMA_DECIMAL_DIGITS)})"
-            )
-        _emit(lines)
+    record = {
+        "mode": args.mode,
+        "primes": list(args.primes),
+        **_verdict_fields(verdict),
+        "cases": {label: frac_str(value) for label, value in verdict.case_witnesses or ()},
+    }
+    _render(args.format, [record], _radical_lines)
     return 1 if verdict.violates else 0
 
 
 # --- table ---------------------------------------------------------------
 
-TABLE_CSV_HEADER = "m,p_I1,p_I2,p_I3,perisastri"
+
+def _table_lines(records) -> list[str]:
+    cells = [list(records[0])] + [[str(x) for x in r.values()] for r in records]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
 
 
 def _cmd_table(args) -> int:
     rows = bound_tables.generate_table(args.m_min, args.m_max, args.alpha)
-    if args.format == "csv":
-        lines = [TABLE_CSV_HEADER]
-        lines.extend(
-            f"{r.m},{r.p_I1},{r.p_I2},{r.p_I3},{r.perisastri}" for r in rows
-        )
-        _emit(lines)
-    elif args.format == "jsonl":
-        for r in rows:
-            print(
-                json.dumps(
-                    {
-                        "m": r.m,
-                        "p_I1": r.p_I1,
-                        "p_I2": r.p_I2,
-                        "p_I3": r.p_I3,
-                        "perisastri": r.perisastri,
-                    }
-                )
-            )
-    else:
-        header = ("m", "p_I1", "p_I2", "p_I3", "perisastri")
-        cells = [header] + [
-            tuple(str(x) for x in (r.m, r.p_I1, r.p_I2, r.p_I3, r.perisastri))
-            for r in rows
-        ]
-        widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-        for row in cells:
-            print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    _render(args.format, [asdict(r) for r in rows], _table_lines)
     return 0
 
 
 # --- constants -----------------------------------------------------------
 
 
+def _constants_lines(records) -> list[str]:
+    (r,) = records
+    return [
+        f"alpha: {r['alpha']}",
+        f"lo: {r['lo']}",
+        f"hi: {r['hi']}",
+        f"width: {r['width']}",
+        f"value: ~{r['value_decimal']}",
+    ]
+
+
 def _cmd_constants(args) -> int:
     width = parse_width(args.width)
-    threshold = threshold_enclosure(args.alpha, Precision(width))
-    iv = threshold.enclosure
-    digits = _certified_digits(width)
-    dec = decimal_str(iv.midpoint(), digits)
-    if args.format == "csv":
-        _emit(
-            [
-                "alpha,lo,hi,width,value_decimal",
-                f"{args.alpha},{frac_str(iv.lo)},{frac_str(iv.hi)},"
-                f"{frac_str(iv.width())},{dec}",
-            ]
-        )
-    elif args.format == "jsonl":
-        print(
-            json.dumps(
-                {
-                    "alpha": args.alpha,
-                    "lo": frac_str(iv.lo),
-                    "hi": frac_str(iv.hi),
-                    "width": frac_str(iv.width()),
-                    "value_decimal": dec,
-                }
-            )
-        )
-    else:
-        _emit(
-            [
-                f"alpha: {args.alpha}",
-                f"lo: {frac_str(iv.lo)}",
-                f"hi: {frac_str(iv.hi)}",
-                f"width: {frac_str(iv.width())}",
-                f"value: ~{dec}",
-            ]
-        )
+    iv = threshold_enclosure(args.alpha, Precision(width)).enclosure
+    record = {
+        "alpha": args.alpha,
+        "lo": frac_str(iv.lo),
+        "hi": frac_str(iv.hi),
+        "width": frac_str(iv.width()),
+        "value_decimal": decimal_str(iv.midpoint(), _certified_digits(width)),
+    }
+    _render(args.format, [record], _constants_lines)
     return 0
 
 

@@ -16,8 +16,6 @@ from numbers import Rational as _RationalABC
 
 from .errors import InvalidArgument, NonPositiveInterval
 
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions, and numeric strings ('3/4', '1e-30') to Fraction."""
@@ -29,14 +27,6 @@ def as_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidArgument(f"not a rational: {value!r}") from exc
     raise InvalidArgument(f"not a rational: {value!r}")
-
-
-def rat_add(a, b) -> Fraction:
-    return as_rational(a) + as_rational(b)
-
-
-def rat_mul(a, b) -> Fraction:
-    return as_rational(a) * as_rational(b)
 
 
 class Ordering3(enum.Enum):
@@ -75,17 +65,6 @@ class RatInterval:
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-
-def interval_mul(a: RatInterval, b: RatInterval) -> RatInterval:
-    """Product interval for positive intervals: [a.lo*b.lo, a.hi*b.hi].
-
-    Monotone endpoint arithmetic is only sound when both intervals sit
-    strictly right of zero, which is all this toolkit needs.
-    """
-    if a.lo <= 0 or b.lo <= 0:
-        raise NonPositiveInterval(f"interval_mul requires lo > 0, got {a} and {b}")
-    return RatInterval(a.lo * b.lo, a.hi * b.hi)
 
 
 def interval_div_scalar(c, b: RatInterval) -> RatInterval:

@@ -128,8 +128,6 @@ def to_euler_form(f: Factorization) -> EulerForm:
     if len(odd_exp) != 1:
         raise InvalidArgument(f"need exactly one odd exponent, found {len(odd_exp)}")
     p, b = odd_exp[0]
-    if p % 4 != 1 or b % 4 != 1:
-        raise InvalidArgument(f"special prime and exponent must be 1 mod 4, got {p}^{b}")
     return EulerForm(p, b, tuple((q, e) for q, e in f.factors if e % 2 == 0))
 
 
@@ -239,7 +237,11 @@ def _screen_alpha2_combined(ps) -> ScreenVerdict:
 
 def radical_screen(primes, mode: Mode = Mode.AUTO) -> ScreenVerdict:
     """Exponent-free bound screening on a set of distinct odd primes."""
-    ps = _odd_prime_set(primes)
+    return _radical_screen(_odd_prime_set(primes), mode)
+
+
+def _radical_screen(ps: tuple[int, ...], mode: Mode) -> ScreenVerdict:
+    # ps must already be sorted, distinct, odd and proven prime
     if mode is Mode.ALPHA1:
         return _screen_alpha1(ps)
     if mode is Mode.ALPHA2_CASE2:
@@ -263,11 +265,13 @@ def full_screen(f: Factorization) -> list[ScreenVerdict]:
     """Eulerian form, perfect check, then radical screen, in that order.
 
     An even input cannot feed the odd-only radical screen, so its radical
-    verdict is the structural NotOdd refutation.
+    verdict is the structural NotOdd refutation.  An odd Factorization's
+    radical was proven prime, distinct and sorted when it was built, so it
+    goes to the radical screen without being checked again.
     """
     verdicts = [euler_form_check(f), perfect_check(f)]
     if f.factors and f.factors[0][0] == 2:
         verdicts.append(_NOT_ODD)
     else:
-        verdicts.append(radical_screen(f.radical, Mode.AUTO))
+        verdicts.append(_radical_screen(f.radical, Mode.AUTO))
     return verdicts

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -13,9 +12,6 @@ from opnlab.exact_arith import (
     as_rational,
     compare,
     interval_div_scalar,
-    interval_mul,
-    rat_add,
-    rat_mul,
 )
 
 rationals = st.fractions(max_denominator=10**6)
@@ -29,37 +25,6 @@ def make_interval(a: Fraction, b: Fraction) -> RatInterval:
     return RatInterval(min(a, b), max(a, b))
 
 
-def test_rat_add_examples():
-    assert rat_add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
-    assert rat_add(Fraction(0), Fraction(7, 5)) == Fraction(7, 5)
-    assert rat_add(Fraction(4, 3), Fraction(6, 5)) == Fraction(38, 15)
-
-
-def test_rat_mul_examples():
-    assert rat_mul(Fraction(4, 3), Fraction(6, 5)) == Fraction(8, 5)
-    assert rat_mul(rat_mul(Fraction(4, 3), Fraction(6, 5)), Fraction(8, 7)) == Fraction(64, 35)
-    assert rat_mul(Fraction(9, 7), Fraction(1)) == Fraction(9, 7)
-
-
-@given(rationals, rationals)
-def test_results_are_canonical(a, b):
-    for value in (rat_add(a, b), rat_mul(a, b)):
-        assert value.denominator > 0
-        assert math.gcd(value.numerator, value.denominator) == 1
-
-
-@given(rationals, rationals)
-def test_add_mul_commute(a, b):
-    assert rat_add(a, b) == rat_add(b, a)
-    assert rat_mul(a, b) == rat_mul(b, a)
-
-
-@given(rationals, rationals, rationals)
-def test_add_mul_associate(a, b, c):
-    assert rat_add(rat_add(a, b), c) == rat_add(a, rat_add(b, c))
-    assert rat_mul(rat_mul(a, b), c) == rat_mul(a, rat_mul(b, c))
-
-
 def test_as_rational_rejects_junk():
     with pytest.raises(InvalidArgument):
         as_rational("not a number")
@@ -70,22 +35,6 @@ def test_as_rational_rejects_junk():
 def test_interval_validation():
     with pytest.raises(InvalidArgument):
         RatInterval(Fraction(2), Fraction(1))
-
-
-def test_interval_mul_examples():
-    assert interval_mul(RatInterval(1, 2), RatInterval(3, 4)) == RatInterval(3, 8)
-    box = RatInterval(Fraction(7, 5), Fraction(9, 5))
-    assert interval_mul(RatInterval(1, 1), box) == box
-    assert interval_mul(
-        RatInterval(Fraction(3, 2), Fraction(5, 3)), RatInterval(2, 2)
-    ) == RatInterval(Fraction(3), Fraction(10, 3))
-
-
-def test_interval_mul_rejects_nonpositive():
-    with pytest.raises(NonPositiveInterval):
-        interval_mul(RatInterval(0, 1), RatInterval(1, 2))
-    with pytest.raises(NonPositiveInterval):
-        interval_mul(RatInterval(1, 2), RatInterval(-1, 2))
 
 
 def test_interval_div_scalar_examples():
@@ -123,16 +72,6 @@ def test_compare_is_exhaustive_and_exclusive(q, a, b):
         assert side is Ordering3.ABOVE
     else:
         assert side is Ordering3.INDETERMINATE
-
-
-@given(positive_rationals, positive_rationals, positive_rationals, positive_rationals,
-       unit_fractions, unit_fractions)
-def test_interval_mul_soundness(a1, a2, b1, b2, t, u):
-    a = make_interval(a1, a2)
-    b = make_interval(b1, b2)
-    x = a.lo + t * a.width()
-    y = b.lo + u * b.width()
-    assert interval_mul(a, b).contains(x * y)
 
 
 @given(positive_rationals, positive_rationals, positive_rationals, unit_fractions)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from opnlab import abundancy, primes
 from opnlab.constants import Precision, threshold_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.primes import Factorization, factorize
@@ -231,6 +232,28 @@ def test_full_screen_order_and_composition():
         Condition.NOT_PERFECT,
         Condition.TOO_FEW_PRIME_FACTORS,
     ]
+
+
+def test_full_screen_does_not_recertify_primes(monkeypatch):
+    built = [
+        factorize(945),
+        factorize(2 * 3 * 5),
+        Factorization.from_pairs([(p, 2) for p in (3, 5, 7, 11, 13, 17, 19, 23)] + [(29, 1)]),
+    ]
+    calls = []
+
+    def counting(n, _real=primes.is_prime):
+        calls.append(n)
+        return _real(n)
+
+    monkeypatch.setattr(abundancy, "is_prime", counting)
+    monkeypatch.setattr(primes, "is_prime", counting)
+    for f in built:
+        full_screen(f)
+    assert calls == []
+    with pytest.raises(InvalidArgument):
+        radical_screen([3, 9])
+    assert calls  # the public entry point still certifies its input
 
 
 def test_full_screen_never_clears_small_odd_numbers():
