@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abundancy import _reciprocal_geometric
-from .constants import Threshold, certified_compare, default_threshold
+from .constants import decide
 from .errors import InvalidArgument
 from .exact_arith import Ordering3
 from .primes import nth_prime, primes_window
@@ -90,37 +90,33 @@ def rho_limit(k: int) -> Fraction:
     )
 
 
-def _find_index(k: int, m: int, alpha: int, theta: Threshold) -> tuple[int, Threshold]:
-    side, theta = certified_compare(rho_limit(k), theta)
-    if side is not Ordering3.BELOW:
+def _find_index(k: int, m: int, alpha: int) -> int:
+    if decide(rho_limit(k), alpha) is not Ordering3.BELOW:
         raise InvalidArgument(
             f"prefix product for k={k} is not below the threshold; no bound exists"
         )
     r = 2  # odd candidates only, so windows never start at the prime 2
-    while True:
-        value = rho(RhoParams(k=k, m=m, r=r, alpha=alpha))
-        side, theta = certified_compare(value, theta)
-        if side is Ordering3.BELOW:
-            return r, theta
+    while decide(rho(RhoParams(k=k, m=m, r=r, alpha=alpha)), alpha) is not Ordering3.BELOW:
         r += 1
+    return r
 
 
-def find_I(k: int, m: int, alpha: int = 1, theta: Threshold | None = None) -> int:
-    """Smallest window index r >= 2 whose product is certified below theta.
+def find_I(k: int, m: int, alpha: int = 1) -> int:
+    """Smallest window index r >= 2 whose product is certified below the
+    alpha threshold.
 
-    The window product strictly decreases in r, so every later window is
-    below the threshold too and the prime at the returned index is an upper
-    bound for the k-th smallest prime factor.
+    Each comparison goes through ``constants.decide``, so it is certified
+    against the tightest threshold bracket stored so far.  The window
+    product strictly decreases in r, so every later window is below the
+    threshold too and the prime at the returned index is an upper bound for
+    the k-th smallest prime factor.
     """
     rho_limit(k)  # validates k before anything else
     if m < k:
         raise InvalidArgument(f"m must be >= k, got m={m}, k={k}")
     if alpha < 1:
         raise InvalidArgument(f"alpha must be >= 1, got {alpha}")
-    if theta is None:
-        theta = default_threshold(alpha)
-    index, _ = _find_index(k, m, alpha, theta)
-    return index
+    return _find_index(k, m, alpha)
 
 
 def perisastri_bound(m: int) -> int:
@@ -139,13 +135,9 @@ def generate_table(m_min: int, m_max: int, alpha: int = 1) -> list[BoundTableRow
         raise InvalidArgument(f"empty range: m_min={m_min} > m_max={m_max}")
     if alpha < 1:
         raise InvalidArgument(f"alpha must be >= 1, got {alpha}")
-    theta = default_threshold(alpha)
     rows = []
     for m in range(m_min, m_max + 1):
-        bounds = []
-        for k in (1, 2, 3):
-            index, theta = _find_index(k, m, alpha, theta)
-            bounds.append(nth_prime(index))
+        bounds = [nth_prime(_find_index(k, m, alpha)) for k in (1, 2, 3)]
         rows.append(
             BoundTableRow(
                 m=m,

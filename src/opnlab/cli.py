@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     except OpnlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means refuted, so a crash must not reach it
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,12 @@ A screening threshold is 2^(a+2) / (zeta(a+1) * (2^(a+1)-1)).  For a = 1
 this equals 16/pi^2 and is built from the pi enclosure; for a >= 2 it is
 built from the zeta enclosure.  Threshold intervals are re-centered to a
 symmetric bracket so both sides carry comparable slack.
+
+The enclosure functions are pure: each call computes its bracket from the
+series, so ``threshold_enclosure`` at a given width always returns the same
+endpoints.  The one bracket this module remembers is the tightest threshold
+per alpha that ``decide`` has needed, the store that the radical screen and
+the bound tables compare against.
 """
 
 from __future__ import annotations
@@ -69,12 +75,6 @@ class Threshold:
             )
 
 
-_cache_lock = threading.Lock()
-_zeta_cache: dict[tuple[int, Fraction], RatInterval] = {}
-_pi_cache: dict[Fraction, RatInterval] = {}
-_threshold_cache: dict[tuple[int, Fraction], Threshold] = {}
-
-
 def _dirichlet_sum(s: int, lo: int, hi: int) -> Fraction:
     # pairwise split keeps intermediate denominators near lcm scale
     if lo == hi:
@@ -96,11 +96,6 @@ def zeta_enclosure(s: int, prec) -> RatInterval:
     if not isinstance(s, int) or s < 2:
         raise InvalidArgument(f"zeta enclosure needs integer s >= 2, got {s!r}")
     width = _target_width(prec)
-    with _cache_lock:
-        hit = _zeta_cache.get((s, width))
-    if hit is not None:
-        return hit
-
     if not _zeta_bracket_ok(s, SERIES_TERM_CAP, width):
         raise PrecisionCapExceeded(
             f"zeta({s}) at width {width} needs more than {SERIES_TERM_CAP} terms"
@@ -123,10 +118,7 @@ def zeta_enclosure(s: int, prec) -> RatInterval:
     partial = _dirichlet_sum(s, 1, n)
     tail_lo = Fraction(1, (s - 1) * (n + 1) ** (s - 1))
     tail_hi = Fraction(1, (s - 1) * n ** (s - 1))
-    result = RatInterval(partial + tail_lo, partial + tail_hi)
-    with _cache_lock:
-        _zeta_cache[(s, width)] = result
-    return result
+    return RatInterval(partial + tail_lo, partial + tail_hi)
 
 
 def _arctan_inv_enclosure(x: int, max_err: Fraction) -> RatInterval:
@@ -151,16 +143,9 @@ def _arctan_inv_enclosure(x: int, max_err: Fraction) -> RatInterval:
 def pi_enclosure(prec) -> RatInterval:
     """Certified bracket of pi via Machin's formula, width <= the target."""
     width = _target_width(prec)
-    with _cache_lock:
-        hit = _pi_cache.get(width)
-    if hit is not None:
-        return hit
     a = _arctan_inv_enclosure(5, width / 32)
     b = _arctan_inv_enclosure(239, width / 8)
-    result = RatInterval(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
-    with _cache_lock:
-        _pi_cache[width] = result
-    return result
+    return RatInterval(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
 
 
 def _threshold_raw(alpha: int, width: Fraction) -> RatInterval:
@@ -188,21 +173,13 @@ def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
     """
     if not isinstance(alpha, int) or alpha < 1:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
-    width = _target_width(prec)
-    with _cache_lock:
-        hit = _threshold_cache.get((alpha, width))
-    if hit is not None:
-        return hit
-    w = width
+    w = _target_width(prec)
     while True:
         raw = _threshold_raw(alpha, w / 8)
         mid = raw.midpoint()
         candidate = RatInterval(mid - w / 2, mid + w / 2)
         if candidate.lo > 1 and candidate.hi < 2:
-            result = Threshold(alpha, candidate)
-            with _cache_lock:
-                _threshold_cache[(alpha, width)] = result
-            return result
+            return Threshold(alpha, candidate)
         w /= 2
 
 
@@ -232,3 +209,26 @@ def certified_compare(q, t: Threshold) -> tuple[Ordering3, Threshold]:
         if side is not Ordering3.INDETERMINATE:
             return side, t
         t = refine(t)
+
+
+# the tightest bracket any decide() call has reached, one per alpha
+_tightest: dict[int, Threshold] = {}
+_tightest_lock = threading.Lock()
+
+
+def decide(q, alpha: int) -> Ordering3:
+    """Certified position of a rational against the alpha threshold.
+
+    Starts from the tightest bracket stored for alpha (the default one on
+    the first call) and stores the refined bracket when it is narrower than
+    the stored one.  A call decided without refinement takes no lock.
+    """
+    stored = _tightest.get(alpha)
+    side, t = certified_compare(q, stored or default_threshold(alpha))
+    if t is not stored:
+        with _tightest_lock:
+            current = _tightest.get(alpha)
+            # another thread may have stored a narrower bracket meanwhile
+            if current is None or t.enclosure.width() < current.enclosure.width():
+                _tightest[alpha] = t
+    return side

@@ -19,9 +19,10 @@ from .errors import InvalidArgument, ResourceLimit
 
 DEFAULT_PRIME_CAP = 10**6  # how many primes the sieve may generate
 
-# Witnesses proving compositeness deterministically for n < _MR_BOUND
-# (Sinclair/Jaeschke-style verified set; bound exceeds 2^64).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases prove compositeness deterministically for every
+# n < psi_13 = _MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)).
+# Twelve bases only reach psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 _SEGMENT = 1 << 20

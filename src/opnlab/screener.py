@@ -20,12 +20,11 @@ interval comparisons with automatic refinement.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .abundancy import _check_prime_set, _reciprocal_geometric, sigma
-from .constants import Threshold, certified_compare, default_threshold
+from .constants import decide
 from .errors import InvalidArgument
 from .exact_arith import Ordering3
 from .primes import Factorization
@@ -150,22 +149,6 @@ def perfect_check(f: Factorization) -> ScreenVerdict:
     return ScreenVerdict(Outcome.VIOLATES, Condition.NOT_PERFECT, Fraction(s, n))
 
 
-_threshold_lock = threading.Lock()
-_thresholds: dict[int, Threshold] = {}
-
-
-def _decide(q: Fraction, alpha: int) -> Ordering3:
-    """Certified position of q against the alpha threshold, kept refined."""
-    with _threshold_lock:
-        t = _thresholds.get(alpha)
-    if t is None:
-        t = default_threshold(alpha)
-    side, t2 = certified_compare(q, t)
-    with _threshold_lock:
-        _thresholds[alpha] = t2
-    return side
-
-
 def _odd_prime_set(primes) -> tuple[int, ...]:
     ps = _check_prime_set(primes)
     if ps and ps[0] == 2:
@@ -192,13 +175,13 @@ def _screen_alpha1(ps) -> ScreenVerdict:
     value = _alpha1_product(ps)
     if value >= 2:
         return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA1_UPPER_BOUND, value)
-    if _decide(value, 1) is Ordering3.BELOW:
+    if decide(value, 1) is Ordering3.BELOW:
         return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA1_LOWER_BOUND, value)
     return _CONSISTENT
 
 
 def _outside_alpha2_bounds(value: Fraction) -> bool:
-    return value >= 2 or _decide(value, 2) is Ordering3.BELOW
+    return value >= 2 or decide(value, 2) is Ordering3.BELOW
 
 
 def _screen_alpha2_case2(ps) -> ScreenVerdict:

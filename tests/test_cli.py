@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from opnlab import screener
+from opnlab import cli, screener
 from opnlab.cli import decimal_str, main, parse_factorization
 from opnlab.errors import ParseError
 
@@ -222,3 +222,14 @@ def test_prime_cap_env_is_honored():
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
+
+
+def test_internal_error_exits_2_not_refuted(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_sigma", crash)
+    assert main(["sigma", "28"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal RuntimeError: boom\n"

@@ -1,12 +1,19 @@
+import functools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from opnlab import constants
 from opnlab.constants import (
     DEFAULT_WIDTH,
     Precision,
     Threshold,
     certified_compare,
+    decide,
     default_threshold,
     pi_enclosure,
     refine,
@@ -14,7 +21,7 @@ from opnlab.constants import (
     zeta_enclosure,
 )
 from opnlab.errors import InvalidArgument, PrecisionCapExceeded
-from opnlab.exact_arith import Ordering3, RatInterval
+from opnlab.exact_arith import Ordering3, RatInterval, compare
 
 # published 50-digit value, used in tests only as an independent check
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
@@ -182,3 +189,97 @@ def test_certified_compare_fast_path():
     side, same = certified_compare(Fraction(64, 35), t)
     assert side is Ordering3.ABOVE
     assert same is t
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    store = {}
+    monkeypatch.setattr(constants, "_tightest", store)
+    return store
+
+
+def _near_miss(store, alpha):
+    # a point a quarter width inside the current bracket, so decide must
+    # refine; it sits at least 3/16 of the width from the constant (the
+    # midpoint is within 1/16), so two halvings decide it
+    iv = (store.get(alpha) or default_threshold(alpha)).enclosure
+    decide(iv.midpoint() + iv.width() / 4, alpha)
+
+
+def test_store_keeps_one_narrowing_bracket_per_alpha(empty_store):
+    for alpha in (1, 2):
+        widths = []
+        for _ in range(4):
+            _near_miss(empty_store, alpha)
+            widths.append(empty_store[alpha].enclosure.width())
+        assert all(b < a for a, b in zip(widths, widths[1:]))
+        # decided by the stored bracket at once: the store is left alone
+        assert decide(Fraction(3, 2), alpha) is Ordering3.BELOW
+        assert decide(Fraction(2), alpha) is Ordering3.ABOVE
+        assert empty_store[alpha].enclosure.width() == widths[-1]
+    assert sorted(empty_store) == [1, 2]
+
+
+def test_threshold_enclosure_ignores_the_store(empty_store):
+    w = Fraction(1, 10**10)
+    before = threshold_enclosure(2, w).enclosure
+    while 2 not in empty_store or empty_store[2].enclosure.width() >= w / 100:
+        _near_miss(empty_store, 2)
+    after = threshold_enclosure(2, w).enclosure
+    assert (after.lo, after.hi) == (before.lo, before.hi)
+
+
+def test_store_never_loses_its_tightest_bracket_across_threads(empty_store, monkeypatch):
+    reached = []
+
+    def recording(q, t, _real=certified_compare):
+        side, refined = _real(q, t)
+        reached.append(refined.enclosure.width())
+        return side, refined
+
+    monkeypatch.setattr(constants, "certified_compare", recording)
+    mid = threshold_enclosure(1, Fraction(1, 10**60)).enclosure.midpoint()
+    # near misses at many distances, so threads refine to different widths
+    misses = [mid + sign * Fraction(1, 10**j) for j in range(31, 51) for sign in (1, -1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            empty_store.clear()
+            reached.clear()
+            workers = [
+                threading.Thread(target=lambda qs=misses[i::8]: [decide(q, 1) for q in qs])
+                for i in range(8)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert empty_store[1].enclosure.width() == min(reached)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# fine enough to decide every offset the property below draws (>= 1e-10)
+_FINE_WIDTH = {1: Fraction(1, 10**40), 2: Fraction(1, 10**12)}
+
+
+@functools.cache
+def _fine(alpha):
+    iv = threshold_enclosure(alpha, _FINE_WIDTH[alpha]).enclosure
+    # a short rational within 1e-15 of the constant keeps drawn points cheap
+    return iv, Fraction(round(iv.midpoint() * 10**15), 10**15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.sampled_from([1, 2]),
+    offset=st.fractions(min_value=-1, max_value=1, max_denominator=10**10),
+)
+def test_decide_agrees_with_a_fine_enclosure(alpha, offset):
+    fine, near = _fine(alpha)
+    q = near + offset
+    expected = compare(q, fine)
+    assume(expected is not Ordering3.INDETERMINATE)
+    assert decide(q, alpha) is expected

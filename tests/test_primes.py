@@ -83,6 +83,19 @@ def test_is_prime_examples():
     assert is_prime(18446744073709551557)  # largest prime below 2^64
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        # psi_12 = 399165290221 * 798330580441, strong pseudoprime to bases 2..37
+        318665857834031151167461,
+        # psi_11 = 149491 * 747451 * 34233211, strong pseudoprime to bases 2..31
+        3825123056546413051,
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
 def test_is_prime_agrees_with_sieve_oracle_exhaustively():
     limit = 10**6
     nth_prime(78498)  # grows the shared sieve past the oracle range
