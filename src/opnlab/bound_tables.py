@@ -11,6 +11,14 @@ product (1 for k=1, 4/3 for k=2, 8/5 for k=3), which sits below the
 screening threshold.  The first window index certified below the threshold
 therefore bounds the k-th prime factor.  The classical comparison value
 floor(2m/3 + 3) is reported alongside.
+
+Because rho_r strictly decreases in r, "certified below" is monotone in r,
+so the first such index is found by a galloping search (probe r = 2, then
+lo+1, lo+2, lo+4, ... past the last index known not to be below) followed by
+a bisection of the final bracket: O(log I) window products instead of I.
+The window product also grows with m, so I(k, m) is nondecreasing in m and
+``generate_table`` starts each search at I(k, m-1) - 1, a known not-below
+index, so a row then costs a few window products per column.
 """
 
 from __future__ import annotations
@@ -19,11 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abundancy import _reciprocal_geometric
 from .constants import decide
 from .errors import InvalidArgument
 from .exact_arith import Ordering3
-from .primes import nth_prime, primes_window
+from .primes import nth_prime, prime_cap, primes_window
 
 TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
 
@@ -66,10 +73,13 @@ class BoundTableRow:
 
 def rho(params: RhoParams) -> Fraction:
     """Exact window product for the given parameters."""
-    total = rho_limit(params.k)
+    # sum_{i=0..h} p^-i = (p^(h+1) - 1) / (p^h (p - 1)); one gcd at the end
+    h = params.alpha
+    num = den = 1
     for p in primes_window(params.r, params.m - params.k + 1):
-        total *= _reciprocal_geometric(p, params.alpha)
-    return total
+        num *= p ** (h + 1) - 1
+        den *= p**h * (p - 1)
+    return rho_limit(params.k) * Fraction(num, den)
 
 
 def rho_limit(k: int) -> Fraction:
@@ -90,15 +100,35 @@ def rho_limit(k: int) -> Fraction:
     )
 
 
-def _find_index(k: int, m: int, alpha: int) -> int:
+def _find_index(k: int, m: int, alpha: int, above: int = 1) -> int:
+    """Smallest r > ``above`` (and r >= 2) whose window is certified below
+    the threshold; ``above`` must be an index whose window is not below
+    (1 stands for none, since windows never start at the prime 2)."""
     if decide(rho_limit(k), alpha) is not Ordering3.BELOW:
         raise InvalidArgument(
             f"prefix product for k={k} is not below the threshold; no bound exists"
         )
-    r = 2  # odd candidates only, so windows never start at the prime 2
-    while decide(rho(RhoParams(k=k, m=m, r=r, alpha=alpha)), alpha) is not Ordering3.BELOW:
-        r += 1
-    return r
+
+    def below(r: int) -> bool:
+        return decide(rho(RhoParams(k=k, m=m, r=r, alpha=alpha)), alpha) is Ordering3.BELOW
+
+    # Probes stay within the sieve cap; only when the last window it can
+    # supply is still not below does the next probe (like the linear scan)
+    # ask for one prime too many and raise ResourceLimit.
+    last = prime_cap() - (m - k)
+    base, step = above, 1
+    hi = above + 1
+    while not below(hi):
+        above = hi
+        step *= 2
+        hi = min(base + step, max(last, above + 1))
+    while hi - above > 1:
+        mid = (above + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            above = mid
+    return hi
 
 
 def find_I(k: int, m: int, alpha: int = 1) -> int:
@@ -109,7 +139,10 @@ def find_I(k: int, m: int, alpha: int = 1) -> int:
     against the tightest threshold bracket stored so far.  The window
     product strictly decreases in r, so every later window is below the
     threshold too and the prime at the returned index is an upper bound for
-    the k-th smallest prime factor.
+    the k-th smallest prime factor.  That monotonicity lets the search
+    gallop (r = 2, 3, 5, 9, ...) to the first certified-below probe and
+    then bisect the last bracket; it returns what a linear scan from r = 2
+    returns, and raises ResourceLimit exactly where that scan would.
     """
     rho_limit(k)  # validates k before anything else
     if m < k:
@@ -136,14 +169,18 @@ def generate_table(m_min: int, m_max: int, alpha: int = 1) -> list[BoundTableRow
     if alpha < 1:
         raise InvalidArgument(f"alpha must be >= 1, got {alpha}")
     rows = []
+    # I(k, m) >= I(k, m-1), and window I(k, m-1) - 1 is not below at m-1,
+    # hence not below at m: start each search just past it
+    index = {1: 2, 2: 2, 3: 2}
     for m in range(m_min, m_max + 1):
-        bounds = [nth_prime(_find_index(k, m, alpha)) for k in (1, 2, 3)]
+        for k in index:
+            index[k] = _find_index(k, m, alpha, above=index[k] - 1)
         rows.append(
             BoundTableRow(
                 m=m,
-                p_I1=bounds[0],
-                p_I2=bounds[1],
-                p_I3=bounds[2],
+                p_I1=nth_prime(index[1]),
+                p_I2=nth_prime(index[2]),
+                p_I3=nth_prime(index[3]),
                 perisastri=perisastri_bound(m),
             )
         )

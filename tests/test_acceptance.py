@@ -129,6 +129,20 @@ def test_criterion_6_monotonicity_and_search_oracle():
             assert side_before is Ordering3.ABOVE
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
+
+    # large-m spot check: the same linear scan at m = 60
+    for k in (1, 2, 3):
+        theta = default_threshold(1)
+        r = 2
+        while True:
+            value = prefixes[k]
+            for p in primes_window(r, 60 - k + 1):
+                value *= 1 + Fraction(1, p)
+            side, theta = certified_compare(value, theta)
+            if side is Ordering3.BELOW:
+                break
+            r += 1
+        assert find_I(k, 60) == r
     _pass(6, f"monotone windows and scan-oracle equivalence, {elapsed:.1f}s")
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnlab.bound_tables import (
     BoundTableRow,
@@ -11,10 +13,10 @@ from opnlab.bound_tables import (
     rho,
     rho_limit,
 )
-from opnlab.constants import certified_compare, default_threshold
-from opnlab.errors import InvalidArgument
+from opnlab.constants import certified_compare, decide, default_threshold
+from opnlab.errors import InvalidArgument, ResourceLimit
 from opnlab.exact_arith import Ordering3
-from opnlab.primes import is_prime, nth_prime, primes_window
+from opnlab.primes import DEFAULT_PRIME_CAP, is_prime, nth_prime, primes_window, set_prime_cap
 
 # reference table: the three prime bounds for m = 9..20 at alpha = 1
 REFERENCE_ROWS = {
@@ -75,9 +77,9 @@ def test_rho_examples():
 
 def test_rho_matches_oracle_on_grid():
     for k in (1, 2, 3):
-        for m in (9, 12, 15):
-            for r in (2, 5, 9):
-                for alpha in (1, 2):
+        for m in (9, 12, 15, 64, 200):
+            for r in (2, 5, 9, 311):
+                for alpha in (1, 2, 3):
                     assert rho(RhoParams(k, m, r, alpha)) == rho_oracle(k, m, r, alpha)
 
 
@@ -117,9 +119,38 @@ def test_find_reference_indices():
 
 def test_find_matches_naive_scan_spot():
     for k in (1, 2, 3):
-        for m in (9, 11):
-            assert find_I(k, m) == naive_scan(k, m)
-    assert find_I(1, 9, alpha=2) == naive_scan(1, 9, alpha=2)
+        for m in (9, 11, 17, 33, 60):
+            for alpha in (1, 2):
+                assert find_I(k, m, alpha) == naive_scan(k, m, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=9, max_value=150),
+    st.integers(min_value=1, max_value=3),
+)
+def test_find_is_the_first_certified_below_window(k, m, alpha):
+    r = find_I(k, m, alpha)
+    assert decide(rho(RhoParams(k, m, r, alpha)), alpha) is Ordering3.BELOW
+    if r > 2:
+        assert decide(rho(RhoParams(k, m, r - 1, alpha)), alpha) is not Ordering3.BELOW
+
+
+def test_find_raises_resource_limit_where_the_scan_does():
+    # with 250 primes the scan finds I(3, 20) = 212; I(3, 40) lies past the
+    # last window the sieve can supply, and the scan then asks for prime #251
+    expected = find_I(3, 20)
+    set_prime_cap(250)
+    try:
+        assert find_I(3, 20) == expected == 212
+        assert [row.p_I3 for row in generate_table(19, 20)] == [1237, 1301]
+        with pytest.raises(ResourceLimit, match="prime #251 "):
+            find_I(3, 40)
+        with pytest.raises(ResourceLimit, match="prime #251 "):
+            generate_table(20, 40)
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
 
 
 def test_find_certified_sidedness():
@@ -177,6 +208,13 @@ def test_generate_table_full_reference():
     for row in rows:
         assert (row.p_I1, row.p_I2, row.p_I3) == REFERENCE_ROWS[row.m]
         assert row.perisastri == perisastri_bound(row.m)
+
+
+def test_generate_table_equals_single_rows():
+    # the warm start across m must not change any row
+    for alpha in (1, 2):
+        rows = generate_table(9, 80, alpha)
+        assert rows == [generate_table(m, m, alpha)[0] for m in range(9, 81)]
 
 
 def test_generate_table_validation():
