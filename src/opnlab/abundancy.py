@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import InvalidArgument
 from .primes import Factorization, is_prime
@@ -44,17 +45,10 @@ def sigma(f: Factorization) -> int:
     return total
 
 
-def _reciprocal_geometric(p: int, h: int) -> Fraction:
-    # sum_{k=0..h} p^-k
-    return Fraction(p ** (h + 1) - 1, p**h * (p - 1))
-
-
 def sigma_minus_one(f: Factorization) -> Fraction:
     """Exact reciprocal-divisor sum, prod over p|n of sum_{k=0..h_p} p^-k."""
-    total = Fraction(1)
-    for p, h in f.factors:
-        total *= _reciprocal_geometric(p, h)
-    return total
+    # the product equals sigma(n)/n; one gcd at the end
+    return Fraction(sigma(f), f.n)
 
 
 def abundancy_report(f: Factorization) -> AbundancyReport:
@@ -70,7 +64,10 @@ def abundancy_report(f: Factorization) -> AbundancyReport:
 
 
 def _check_prime_set(primes) -> tuple[int, ...]:
-    ps = tuple(sorted(int(p) for p in primes))
+    try:
+        ps = tuple(sorted(index(p) for p in primes))
+    except TypeError as exc:
+        raise InvalidArgument(f"primes must be integers: {exc}") from exc
     for a, b in zip(ps, ps[1:]):
         if a == b:
             raise InvalidArgument(f"duplicate prime {a}")
@@ -84,10 +81,12 @@ def truncated_product(primes, alpha: int) -> Fraction:
     """prod over the given primes of sum_{i=0..alpha} p^-i, exactly."""
     if not isinstance(alpha, int) or alpha < 1:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
-    total = Fraction(1)
+    # sum_{i=0..alpha} p^-i = (p^(alpha+1) - 1) / (p^alpha (p - 1)); one gcd at the end
+    num = den = 1
     for p in _check_prime_set(primes):
-        total *= _reciprocal_geometric(p, alpha)
-    return total
+        num *= p ** (alpha + 1) - 1
+        den *= p**alpha * (p - 1)
+    return Fraction(num, den)
 
 
 def geometric_split_check(p: int, h: int, alpha: int) -> bool:

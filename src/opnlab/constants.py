@@ -8,13 +8,20 @@ two-sided integral tail bound
 with N chosen so the bracket meets the requested width.  pi comes from
 Machin's formula pi = 16*atan(1/5) - 4*atan(1/239), each arctangent an
 alternating series whose truncation error is bounded by the first omitted
-term.  Everything is exact rational arithmetic end to end; no endpoint is
-ever rounded.
+term.  Everything is exact rational arithmetic end to end.  The brackets
+that ``threshold_enclosure`` returns (and ``opnlab constants`` prints) are
+never rounded, so their endpoints carry the full size of the series sums.
 
 A screening threshold is 2^(a+2) / (zeta(a+1) * (2^(a+1)-1)).  For a = 1
 this equals 16/pi^2 and is built from the pi enclosure; for a >= 2 it is
 built from the zeta enclosure.  Threshold intervals are re-centered to a
 symmetric bracket so both sides carry comparable slack.
+
+The brackets that comparisons use, from ``default_threshold`` and
+``refine``, are rounded outward to multiples of 2^-k: only rounding outward
+keeps them sound, and their endpoints then need about log2(1/width) + 4
+bits, so comparing a product against one costs a short multiplication
+whatever the size of the series sums behind it.
 
 The enclosure functions are pure: each call computes its bracket from the
 series, so ``threshold_enclosure`` at a given width always returns the same
@@ -25,6 +32,7 @@ the bound tables compare against.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,16 +191,33 @@ def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
         w /= 2
 
 
+def _dyadic_threshold(alpha: int, width: Fraction) -> Threshold:
+    """Threshold bracket of width <= width, endpoints multiples of 2^-k.
+
+    The symmetric enclosure at 3/4 of the width is rounded outward to the
+    grid 2^-k <= min(its width, lo - 1, 2 - hi) / 8: the two roundings add
+    at most a quarter of its width, and the bracket stays inside (1, 2).
+    Its endpoints then need about log2(1/width) + 4 bits, whatever the
+    size of the series sums behind them.
+    """
+    inner = threshold_enclosure(alpha, Precision(width * 3 / 4)).enclosure
+    slack = min(inner.width(), inner.lo - 1, 2 - inner.hi)
+    grid = 1 << (math.ceil(8 / slack) - 1).bit_length()  # least 2^k >= 8/slack
+    lo = Fraction(math.floor(inner.lo * grid), grid)
+    hi = Fraction(math.ceil(inner.hi * grid), grid)
+    return Threshold(alpha, RatInterval(lo, hi))
+
+
 def refine(t: Threshold) -> Threshold:
-    """Same constant, enclosure width at most half the input width."""
-    return threshold_enclosure(t.alpha, Precision(t.enclosure.width() / 2))
+    """Same constant, dyadic enclosure width at most half the input width."""
+    return _dyadic_threshold(t.alpha, t.enclosure.width() / 2)
 
 
 def default_threshold(alpha: int) -> Threshold:
-    """Threshold at the default width (coarser start for zeta-backed alphas)."""
+    """Dyadic threshold at the default width (coarser start for zeta-backed alphas)."""
     if alpha == 1:
-        return threshold_enclosure(1, Precision(DEFAULT_WIDTH))
-    return threshold_enclosure(alpha, Precision(DEFAULT_ZETA_THRESHOLD_WIDTH))
+        return _dyadic_threshold(1, DEFAULT_WIDTH)
+    return _dyadic_threshold(alpha, DEFAULT_ZETA_THRESHOLD_WIDTH)
 
 
 def certified_compare(q, t: Threshold) -> tuple[Ordering3, Threshold]:

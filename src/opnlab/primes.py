@@ -14,6 +14,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 from .errors import InvalidArgument, ResourceLimit
 
@@ -197,7 +198,11 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple((int(p), int(e)) for p, e in self.factors))
+        try:
+            factors = tuple((index(p), index(e)) for p, e in self.factors)
+        except TypeError as exc:
+            raise InvalidArgument(f"primes and exponents must be integers: {exc}") from exc
+        object.__setattr__(self, "factors", factors)
         prev = 1
         for p, e in self.factors:
             if p <= prev:
@@ -210,7 +215,7 @@ class Factorization:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Factorization":
-        return cls(tuple(sorted((int(p), int(e)) for p, e in pairs)))
+        return cls(tuple(sorted(map(tuple, pairs))))
 
     @classmethod
     def from_int(cls, n: int) -> "Factorization":

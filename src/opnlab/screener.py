@@ -13,6 +13,12 @@ Three layers, from structural to analytic:
   all-exponents->=2 case via prod(1+1/p+1/p^2), each tested against
   16/(7*zeta(3)) and 2.
 
+Each product multiplies integer numerators and denominators and builds a
+single ``Fraction``.  The alpha = 2 screen builds the all-even product once
+and derives each special-prime case from it by an exact factor swap,
+case2 * q(q+1)/(q^2+q+1), so a set of k primes costs k multiplications by
+small fractions rather than k rebuilt products.
+
 All witnesses are exact rationals; threshold comparisons are certified
 interval comparisons with automatic refinement.
 """
@@ -23,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abundancy import _check_prime_set, _reciprocal_geometric, sigma
+from .abundancy import _check_prime_set, sigma
 from .constants import decide
 from .errors import InvalidArgument
 from .exact_arith import Ordering3
@@ -157,18 +163,21 @@ def _odd_prime_set(primes) -> tuple[int, ...]:
 
 
 def _alpha1_product(ps) -> Fraction:
-    total = Fraction(1)
+    # prod (p+1)/p over integer products; one gcd at the end
+    num = den = 1
     for p in ps:
-        total *= Fraction(p + 1, p)
-    return total
+        num *= p + 1
+        den *= p
+    return Fraction(num, den)
 
 
-def _alpha2_product(ps, skip=None) -> Fraction:
-    total = Fraction(1)
+def _alpha2_product(ps) -> Fraction:
+    # prod (p^2+p+1)/p^2 over integer products; one gcd at the end
+    num = den = 1
     for p in ps:
-        if p != skip:
-            total *= _reciprocal_geometric(p, 2)
-    return total
+        num *= p * p + p + 1
+        den *= p * p
+    return Fraction(num, den)
 
 
 def _screen_alpha1(ps) -> ScreenVerdict:
@@ -196,20 +205,21 @@ def _screen_alpha2_combined(ps) -> ScreenVerdict:
 
     With no prime = 1 mod 4 in the set the special-prime case is impossible,
     so the quantification over q is vacuously satisfied and the all-even case
-    alone decides.
+    alone decides.  Case witnesses are reported only on a refutation, so the
+    first surviving case ends the screen.
     """
     case2_value = _alpha2_product(ps)
+    if not _outside_alpha2_bounds(case2_value):
+        return _CONSISTENT
     cases: list[tuple[str, Fraction]] = [("case2", case2_value)]
-    refuted = _outside_alpha2_bounds(case2_value)
     for q in ps:
         if q % 4 != 1:
             continue
-        value = Fraction(q + 1, q) * _alpha2_product(ps, skip=q)
-        cases.append((f"case1[q={q}]", value))
+        # swap q's factor (q^2+q+1)/q^2 for (q+1)/q
+        value = case2_value * Fraction(q * (q + 1), q * q + q + 1)
         if not _outside_alpha2_bounds(value):
-            refuted = False
-    if not refuted:
-        return _CONSISTENT
+            return _CONSISTENT
+        cases.append((f"case1[q={q}]", value))
     condition = (
         Condition.TRIPLE_EXCLUSION_357
         if {3, 5, 7} <= set(ps)

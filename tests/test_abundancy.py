@@ -90,6 +90,14 @@ def test_truncated_product_validation():
         truncated_product({3, 5}, 0)
 
 
+def test_truncated_product_rejects_non_integral_primes():
+    # 3.7 was once truncated to 3, giving 8/5
+    with pytest.raises(InvalidArgument):
+        truncated_product([3.7, 5], 1)
+    with pytest.raises(InvalidArgument):
+        truncated_product(["3", 5], 1)
+
+
 def test_geometric_split_examples():
     assert geometric_split_check(3, 4, 1)
     assert geometric_split_check(5, 0, 1)

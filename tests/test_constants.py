@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from opnlab import constants
 from opnlab.constants import (
     DEFAULT_WIDTH,
+    DEFAULT_ZETA_THRESHOLD_WIDTH,
     Precision,
     Threshold,
     certified_compare,
@@ -163,6 +164,32 @@ def test_zeta_backed_threshold_hits_cap():
 def test_default_threshold_widths():
     assert default_threshold(1).enclosure.width() <= DEFAULT_WIDTH
     assert default_threshold(2).enclosure.width() <= Fraction(1, 10**9)
+
+
+def _dyadic_bits(q: Fraction) -> int:
+    d = q.denominator
+    assert d & (d - 1) == 0, f"{q} is not dyadic"
+    return d.bit_length() - 1
+
+
+def test_comparison_brackets_are_short_dyadic_and_sound():
+    for alpha in range(1, 13):
+        target = DEFAULT_WIDTH if alpha == 1 else DEFAULT_ZETA_THRESHOLD_WIDTH
+        t, prev = default_threshold(alpha), None
+        for _ in range(6):
+            iv = t.enclosure
+            w = iv.width()
+            assert w <= target
+            for end in (iv.lo, iv.hi):
+                # at most log2(1/w) + 8 bits
+                assert w * Fraction(2) ** (_dyadic_bits(end) - 8) <= 1
+            assert 1 < iv.lo and iv.hi < 2
+            if prev is not None:
+                assert prev.encloses(iv)
+            # rounded outward from the symmetric enclosure at 3/4 of the target
+            assert iv.encloses(threshold_enclosure(alpha, Precision(target * 3 / 4)).enclosure)
+            assert iv.encloses(threshold_enclosure(alpha, Precision(w / 100)).enclosure)
+            t, prev, target = refine(t), iv, w / 2
 
 
 def test_certified_compare_decides_near_misses():

@@ -132,6 +132,15 @@ def test_factorization_validation():
         Factorization.from_pairs([(3, 1), (3, 2)])
 
 
+def test_factorization_rejects_non_integral_entries():
+    # (7.9, 1), (11, 2.5) was once read as 7 * 11^2
+    for factors in (((7.9, 1), (11, 2.5)), ((7, 1), (11, 2.5)), ((7.0, 1),)):
+        with pytest.raises(InvalidArgument):
+            Factorization(factors)
+    with pytest.raises(InvalidArgument):
+        Factorization.from_pairs([(11, 2), (7.9, 1)])
+
+
 def test_factorization_helpers():
     f = Factorization.from_pairs([(7, 1), (3, 3), (5, 1)])
     assert f.factors == ((3, 3), (5, 1), (7, 1))

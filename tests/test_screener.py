@@ -1,12 +1,18 @@
+import functools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opnlab import abundancy, primes
 from opnlab.constants import Precision, threshold_enclosure
 from opnlab.errors import InvalidArgument
-from opnlab.primes import Factorization, factorize
+from opnlab.exact_arith import Ordering3, compare
+from opnlab.primes import Factorization, factorize, primes_window
 from opnlab.screener import (
     Condition,
     EulerForm,
@@ -101,6 +107,14 @@ def test_radical_screen_validation():
         radical_screen([3, 9])
     with pytest.raises(InvalidArgument):
         radical_screen([3, 3, 5])
+
+
+def test_radical_screen_rejects_non_integral_primes():
+    # 3.9 was once truncated to 3 and screened as such
+    with pytest.raises(InvalidArgument):
+        radical_screen([3.9, 5, 7, 11, 13, 17, 19, 23, 29])
+    with pytest.raises(InvalidArgument):
+        radical_screen([Fraction(7), 11], Mode.ALPHA1)
 
 
 def test_triple_357_is_excluded_in_combined_mode():
@@ -260,3 +274,94 @@ def test_full_screen_never_clears_small_odd_numbers():
     for n in range(1, 30002, 2):
         verdicts = full_screen(factorize(n))
         assert any(v.violates for v in verdicts), n
+
+
+def test_alpha2_screen_is_linear_in_the_set_size():
+    ps = primes_window(2, 2000)
+    start = time.perf_counter()
+    v = radical_screen(ps, Mode.ALPHA2_CASE1)
+    assert time.perf_counter() - start < 5
+    assert v.violated_condition is Condition.TRIPLE_EXCLUSION_357
+    assert sum(p % 4 == 1 for p in ps) == 987
+    assert len(v.case_witnesses) == 988  # case 2 plus every q = 1 mod 4
+
+
+_ODD_PRIMES = [p for p in range(3, 3000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+
+
+def _fill_below_two(order, special):
+    # keep each prime, in the drawn order, whose factor leaves the product
+    # below 2, so the product lands just under 2, inside the alpha = 2 band;
+    # with special, the first kept prime = 1 mod 4 takes the factor (q+1)/q
+    # of the special-prime case, so that case survives while case 2 may not
+    kept, value, q = set(), Fraction(1), None
+    for p in order[:40]:
+        is_q = special and q is None and p % 4 == 1
+        factor = Fraction(p + 1, p) if is_q else Fraction(p * p + p + 1, p * p)
+        if value * factor < 2:
+            kept.add(p)
+            value *= factor
+            q = p if is_q else q
+    return kept
+
+
+_prime_sets = st.one_of(
+    st.sets(st.sampled_from(_ODD_PRIMES), min_size=1, max_size=40),
+    # the k smallest odd primes push the products up into and past the band
+    st.builds(
+        lambda k, rest: set(_ODD_PRIMES[:k]) | rest,
+        st.integers(min_value=1, max_value=12),
+        st.sets(st.sampled_from(_ODD_PRIMES), max_size=28),
+    ),
+    st.builds(_fill_below_two, st.permutations(_ODD_PRIMES[:60]), st.booleans()),
+    # no admissible special prime: case 2 alone decides alpha = 2
+    st.sets(st.sampled_from([p for p in _ODD_PRIMES if p % 4 == 3]), min_size=1, max_size=40),
+    st.sets(st.sampled_from(_ODD_PRIMES), max_size=37).map(lambda s: s | {3, 5, 7}),
+)
+
+
+@functools.cache
+def _fine_threshold(alpha):
+    return threshold_enclosure(alpha, Precision(Fraction(1, 10**40 if alpha == 1 else 10**12)))
+
+
+def _naive_outside(value, alpha):
+    side = compare(value, _fine_threshold(alpha).enclosure)
+    assume(side is not Ordering3.INDETERMINATE)
+    return value >= 2 or side is Ordering3.BELOW
+
+
+def _naive_verdict(ps, mode):
+    """(violated_condition, witness, case_witnesses) from per-case products."""
+    if mode is Mode.AUTO:
+        if len(ps) < 9:
+            return Condition.TOO_FEW_PRIME_FACTORS, None, None
+        verdict = _naive_verdict(ps, Mode.ALPHA1)
+        return verdict if verdict[0] else _naive_verdict(ps, Mode.ALPHA2_CASE1)
+    if mode is Mode.ALPHA1:
+        value = alpha1_oracle(ps)
+        if value >= 2:
+            return Condition.ALPHA1_UPPER_BOUND, value, None
+        if _naive_outside(value, 1):
+            return Condition.ALPHA1_LOWER_BOUND, value, None
+        return None, None, None
+    case2 = alpha2_oracle(ps)
+    if mode is Mode.ALPHA2_CASE2:
+        return (Condition.ALPHA2_CASE2, case2, None) if _naive_outside(case2, 2) else (None,) * 3
+    cases = [("case2", case2)]
+    cases += [(f"case1[q={q}]", alpha2_oracle(ps, special=q)) for q in ps if q % 4 == 1]
+    if not all(_naive_outside(value, 2) for _, value in cases):
+        return None, None, None
+    triple = {3, 5, 7} <= set(ps)
+    condition = Condition.TRIPLE_EXCLUSION_357 if triple else Condition.ALPHA2_CASE1
+    return condition, case2, tuple(cases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps=_prime_sets, mode=st.sampled_from(list(Mode)))
+def test_every_mode_matches_naive_case_products(ps, mode):
+    ps = sorted(ps)
+    expected = _naive_verdict(ps, mode)
+    v = radical_screen(ps, mode)
+    assert (v.violated_condition, v.witness, v.case_witnesses) == expected
+    assert v.violates == (expected[0] is not None)
