@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .constants import decide
 from .errors import InvalidArgument
-from .exact_arith import Ordering3
+from .exact_arith import Ordering3, as_index
 from .primes import nth_prime, prime_cap, primes_window
 
 TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
@@ -46,6 +46,10 @@ class RhoParams:
     alpha: int = 1
 
     def __post_init__(self):
+        # the table search builds one per probe, from ints: test before coercing
+        if not type(self.k) is type(self.m) is type(self.r) is type(self.alpha) is int:
+            for name in ("k", "m", "r", "alpha"):
+                object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.k not in (1, 2, 3):
             raise InvalidArgument(f"k must be 1, 2, or 3, got {self.k}")
         if self.m < self.k:
@@ -144,6 +148,7 @@ def find_I(k: int, m: int, alpha: int = 1) -> int:
     then bisect the last bracket; it returns what a linear scan from r = 2
     returns, and raises ResourceLimit exactly where that scan would.
     """
+    k, m, alpha = as_index(k, "k"), as_index(m, "m"), as_index(alpha, "alpha")
     rho_limit(k)  # validates k before anything else
     if m < k:
         raise InvalidArgument(f"m must be >= k, got m={m}, k={k}")
@@ -154,6 +159,7 @@ def find_I(k: int, m: int, alpha: int = 1) -> int:
 
 def perisastri_bound(m: int) -> int:
     """Classical comparison bound floor(2m/3 + 3) on the lowest prime factor."""
+    m = as_index(m, "m")
     if m < 1:
         raise InvalidArgument(f"m must be >= 1, got {m}")
     return math.floor(Fraction(2 * m, 3) + 3)
@@ -162,6 +168,8 @@ def perisastri_bound(m: int) -> int:
 def generate_table(m_min: int, m_max: int, alpha: int = 1) -> list[BoundTableRow]:
     """One row per m in [m_min, m_max]: the three prime bounds plus the
     classical comparison column.  Deterministic."""
+    m_min, m_max = as_index(m_min, "m_min"), as_index(m_max, "m_max")
+    alpha = as_index(alpha, "alpha")
     if m_min < TABLE_MIN_M:
         raise InvalidArgument(f"m_min must be >= {TABLE_MIN_M}, got {m_min}")
     if m_max < m_min:

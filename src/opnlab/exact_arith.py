@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
+from operator import index
 
 from .errors import InvalidArgument, NonPositiveInterval
 
@@ -27,6 +28,15 @@ def as_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidArgument(f"not a rational: {value!r}") from exc
     raise InvalidArgument(f"not a rational: {value!r}")
+
+
+def as_index(value, name: str) -> int:
+    """``operator.index(value)``: ints pass, floats and strings raise
+    InvalidArgument naming the argument."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
 
 
 class Ordering3(enum.Enum):

@@ -2,29 +2,50 @@
 
 A single growable segmented sieve backs the indexed prime stream
 (``nth_prime``, ``primes_window``).  Primality for inputs beyond the sieve
-uses Miller-Rabin with a fixed witness set that is deterministic for all
-inputs below 3.3e24 (covers 64-bit), then trial division within the sieve
-budget.  No probabilistic answers are ever returned.
+uses Miller-Rabin with a witness ladder: n below psi_k, the least strong
+pseudoprime to the first k prime bases, is decided by those k bases alone,
+which is deterministic for all inputs below psi_13 = 3.3e24 (covers
+64-bit).  Larger inputs are proven by trial division within the sieve
+budget.  No probabilistic answers are ever returned.  Every public entry
+point takes integers only (``operator.index``); anything else raises
+InvalidArgument naming the argument.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 
 from .errors import InvalidArgument, ResourceLimit
+from .exact_arith import as_index
 
 DEFAULT_PRIME_CAP = 10**6  # how many primes the sieve may generate
 
-# The first 13 prime bases prove compositeness deterministically for every
-# n < psi_13 = _MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)).
-# Twelve bases only reach psi_12 = 318665857834031151167461.
+# psi_k is the least strong pseudoprime to the first k prime bases, so those
+# k bases prove compositeness deterministically for every n < psi_k (Jaeschke,
+# Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)).  The
+# values repeat: psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_BOUND = _MR_PSI[-1]
 
 _SEGMENT = 1 << 20
 
@@ -42,6 +63,7 @@ class _Sieve:
     """Segmented sieve of Eratosthenes with an incremental, growable bound."""
 
     def __init__(self, cap: int = DEFAULT_PRIME_CAP):
+        cap = as_index(cap, "prime cap")
         if cap < 1:
             raise InvalidArgument(f"prime cap must be >= 1, got {cap}")
         self.cap = cap
@@ -114,10 +136,13 @@ def prime_cap() -> int:
 
 
 def _miller_rabin(n: int) -> bool:
+    """Strong probable-prime test of n > 41 to the first k bases, where
+    k is the least count with n < psi_k; deterministic for n < _MR_BOUND."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    # bisect_right: n = psi_k fools its first k bases, so it gets the next rung
+    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         a %= n
         if a == 0:
             continue
@@ -136,9 +161,14 @@ def _miller_rabin(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test; never probabilistic.
 
-    Raises ResourceLimit only for inputs beyond 3.3e24 whose certification
-    would exceed the trial-division budget.
+    Sieve lookup within the sieve, else trial division by the 13 witness
+    primes, then Miller-Rabin with the bases the witness ladder gives n's
+    size (1 below 2047, all 13 from psi_12 to psi_13 = 3.3e24), and trial
+    division past psi_13.  Raises ResourceLimit only for inputs beyond
+    psi_13 whose certification would exceed the trial-division budget.
     """
+    if type(n) is not int:  # hot path: plain ints skip the call
+        n = as_index(n, "n")
     if n < 2:
         return False
     sieve = _default_sieve
@@ -168,6 +198,7 @@ def is_prime(n: int) -> bool:
 
 def nth_prime(k: int) -> int:
     """The k-th prime, 1-based (p_1 = 2)."""
+    k = as_index(k, "prime index")
     if k < 1:
         raise InvalidArgument(f"prime index must be >= 1, got {k}")
     sieve = _default_sieve
@@ -177,6 +208,9 @@ def nth_prime(k: int) -> int:
 
 def primes_window(start: int, count: int) -> list[int]:
     """Consecutive primes p_start .. p_{start+count-1}; empty when count = 0."""
+    # hot path, one call per window product: plain ints skip the calls
+    if type(start) is not int or type(count) is not int:
+        start, count = as_index(start, "prime index"), as_index(count, "window count")
     if start < 1:
         raise InvalidArgument(f"prime index must be >= 1, got {start}")
     if count < 0:
@@ -249,6 +283,7 @@ def factorize(n: int) -> Factorization:
     accepted directly; a composite residual needing primes beyond the cap
     raises ResourceLimit.
     """
+    n = as_index(n, "n")
     if n < 1:
         raise InvalidArgument(f"factorize requires n >= 1, got {n}")
     if n == 1:

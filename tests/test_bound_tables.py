@@ -66,6 +66,39 @@ def test_rho_params_validation():
         RhoParams(k=1, m=9, r=2, alpha=0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: find_I(1, 9.5), "m"),
+        (lambda: rho(RhoParams(1, 9.5, 2)), "m"),
+        (lambda: RhoParams(1.0, 9, 2), "k"),
+        (lambda: generate_table(9, 10.5), "m_max"),
+        (lambda: perisastri_bound(9.0), "m"),
+    ],
+    ids=["find_I", "rho", "rho_params_k", "generate_table", "perisastri_bound"],
+)
+def test_float_indices_are_rejected_by_name(call, name):
+    with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+        call()
+
+
+class _Index:
+    """An integer-like value that only supports __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_rho_params_store_coerced_integers():
+    params = RhoParams(_Index(1), _Index(9), _Index(2), _Index(1))
+    assert params == RhoParams(1, 9, 2, 1)
+    assert all(type(v) is int for v in (params.k, params.m, params.r, params.alpha))
+    assert rho(params) == rho(RhoParams(1, 9, 2))
+
+
 def test_rho_examples():
     nine_window = rho(RhoParams(k=1, m=9, r=5))
     assert nine_window == rho_oracle(1, 9, 5)

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from opnlab.errors import InvalidArgument, ResourceLimit
 from opnlab.primes import (
+    _MR_PSI,
+    _MR_WITNESSES,
     DEFAULT_PRIME_CAP,
     Factorization,
+    _miller_rabin,
     _Sieve,
     factorize,
     is_prime,
@@ -55,6 +58,32 @@ def test_nth_prime_rejects_bad_index():
         nth_prime(0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: nth_prime(2.5), "prime index"),
+        (lambda: primes_window(2.0, 3), "prime index"),
+        (lambda: primes_window(2, 3.5), "window count"),
+        (lambda: is_prime(1000003.0), "n"),
+        (lambda: is_prime(7.0), "n"),
+        (lambda: factorize(945.0), "n"),
+        (lambda: _Sieve(10.5), "prime cap"),
+    ],
+    ids=[
+        "nth_prime",
+        "window_start",
+        "window_count",
+        "is_prime_large",
+        "is_prime_7",
+        "factorize",
+        "sieve_cap",
+    ],
+)
+def test_float_indices_are_rejected_by_name(call, name):
+    with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+        call()
+
+
 def test_primes_window_examples():
     assert primes_window(2, 3) == [3, 5, 7]
     assert primes_window(5, 9) == [11, 13, 17, 19, 23, 29, 31, 37, 41]
@@ -90,10 +119,109 @@ def test_is_prime_examples():
         318665857834031151167461,
         # psi_11 = 149491 * 747451 * 34233211, strong pseudoprime to bases 2..31
         3825123056546413051,
+        # psi_1..psi_7 (psi_8 = psi_7; psi_9 = psi_10 = psi_11)
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
     ],
 )
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def sprp(n, bases):
+    """Independent strong probable-prime test of odd n > max(bases)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        if all(pow(x, 2**j, n) != n - 1 for j in range(1, s)):
+            return False
+    return True
+
+
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_1..psi_13 with a factorization each (Jaeschke 1993; Sorenson and Webster 2017)
+PSI_FACTORS = (
+    (23, 89),
+    (829, 1657),
+    (2251, 11251),
+    (151, 751, 28351),
+    (6763, 10627, 29947),
+    (1303, 16927, 157543),
+    (10670053, 32010157),
+    (10670053, 32010157),
+    (149491, 747451, 34233211),
+    (149491, 747451, 34233211),
+    (149491, 747451, 34233211),
+    (399165290221, 798330580441),
+    (1287836182261, 2575672364521),
+)
+PSI = tuple(math.prod(fs) for fs in PSI_FACTORS)
+
+
+def test_every_rung_of_the_witness_ladder():
+    assert _MR_WITNESSES == FIRST_13_PRIMES
+    assert _MR_PSI == PSI
+    for k, psi in enumerate(PSI, start=1):
+        # psi_k is composite yet fools the first k bases ...
+        assert sprp(psi, FIRST_13_PRIMES[:k]), k
+        if k < 13:
+            # ... and fools base k + 1 too exactly when psi_(k+1) = psi_k
+            assert sprp(psi, FIRST_13_PRIMES[: k + 1]) == (PSI[k] == psi), k
+            # the ladder gives n = psi_k itself more bases than k
+            assert not _miller_rabin(psi), k
+
+
+def prime_by_13_bases(n):
+    """Primality from the 13-base strong test alone: exact below psi_13."""
+    if any(n % p == 0 for p in FIRST_13_PRIMES):
+        return n in FIRST_13_PRIMES
+    return n > 1 and sprp(n, FIRST_13_PRIMES)
+
+
+def prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def log_uniform(lo, hi):
+    """Integers in [lo, hi) whose bit length is drawn uniformly."""
+    return st.integers(lo.bit_length(), (hi - 1).bit_length()).flatmap(
+        lambda b: st.integers(max(lo, 1 << (b - 1)), min(hi, 1 << b) - 1)
+    )
+
+
+def near_psi(hi):
+    """psi_k + 2j for small j, below hi."""
+    rungs = st.sampled_from([psi for psi in PSI if psi < hi + 80])
+    return st.builds(lambda psi, j: psi + 2 * j, rungs, st.integers(-40, 40)).filter(
+        lambda n: n < hi
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_psi(PSI[-1]), log_uniform(2**11, PSI[-1])))
+def test_is_prime_agrees_with_13_base_oracle(n):
+    expected = prime_by_13_bases(n)
+    assert is_prime(n) == expected
+    # Miller-Rabin alone, without the sieve and the trial-division prelude
+    assert _miller_rabin(n) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_psi(10**9), log_uniform(42, 10**9)))
+def test_is_prime_agrees_with_trial_division_below_1e9(n):
+    expected = prime_by_trial_division(n)
+    assert is_prime(n) == expected
+    assert _miller_rabin(n) == expected
 
 
 def test_is_prime_agrees_with_sieve_oracle_exhaustively():
