@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # zeta-backed enclosure endpoints are exact rationals with very long
-    # numerators; printing them must not trip the int-to-str guard
+    # sigma of a large prime power (sigma of 3^10000 has 4,772 digits)
+    # must print past the default 4,300-digit int-to-str guard
     sys.set_int_max_str_digits(5_000_000)
     args = build_parser().parse_args(argv)
     cap = os.environ.get("OPNLAB_PRIME_CAP")

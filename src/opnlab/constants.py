@@ -1,27 +1,22 @@
-"""Certified rational enclosures of pi, zeta(s), and the screening thresholds.
+"""Certified dyadic enclosures of pi, zeta(s), and the screening thresholds.
 
-zeta(s) for integer s >= 2 is bracketed by a Dirichlet partial sum plus the
-two-sided integral tail bound
-
-    (N+1)^(1-s)/(s-1)  <=  sum_{k>N} k^(-s)  <=  N^(1-s)/(s-1),
-
-with N chosen so the bracket meets the requested width.  pi comes from
-Machin's formula pi = 16*atan(1/5) - 4*atan(1/239), each arctangent an
-alternating series whose truncation error is bounded by the first omitted
-term.  Everything is exact rational arithmetic end to end.  The brackets
-that ``threshold_enclosure`` returns (and ``opnlab constants`` prints) are
-never rounded, so their endpoints carry the full size of the series sums.
+Every series is summed in integers scaled by 2^K, and each term's
+truncation error is counted, so every bracket comes out with endpoints
+that are multiples of 2^-K.  pi comes from Machin's formula
+pi = 16*atan(1/5) - 4*atan(1/239), each arctangent an alternating series
+of exact floors.  zeta(s) for integer s >= 2 is eta(s) / (1 - 2^(1-s)),
+with the alternating eta series summed by Algorithm 1 of Cohen, Rodriguez
+Villegas and Zagier, "Convergence acceleration of alternating series"
+(2000), whose error after n terms is at most eta(s) / d_n for an integer
+d_n > (3+sqrt 8)^n / 2.
 
 A screening threshold is 2^(a+2) / (zeta(a+1) * (2^(a+1)-1)).  For a = 1
 this equals 16/pi^2 and is built from the pi enclosure; for a >= 2 it is
-built from the zeta enclosure.  Threshold intervals are re-centered to a
-symmetric bracket so both sides carry comparable slack.
-
-The brackets that comparisons use, from ``default_threshold`` and
-``refine``, are rounded outward to multiples of 2^-k: only rounding outward
-keeps them sound, and their endpoints then need about log2(1/width) + 4
-bits, so comparing a product against one costs a short multiplication
-whatever the size of the series sums behind it.
+built from the zeta enclosure.  ``threshold_enclosure`` is the one bracket
+builder: the bracket ``opnlab constants`` prints is the one every
+comparison uses.  It and the zeta bracket are mid +- 2^-j, mid on the grid
+2^-(j+4), so their endpoints need about log2(1/width) + 5 bits, and the
+constant lies nearly half a width inside each end.
 
 The enclosure functions are pure: each call computes its bracket from the
 series, so ``threshold_enclosure`` at a given width always returns the same
@@ -32,21 +27,15 @@ the bound tables compare against.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument, PrecisionCapExceeded
-from .exact_arith import Ordering3, RatInterval, as_rational, compare, interval_div_scalar
+from .exact_arith import Ordering3, RatInterval, as_rational, compare
 
 SERIES_TERM_CAP = 10**6
 DEFAULT_WIDTH = Fraction(1, 10**30)
-
-# zeta-backed thresholds cannot reach DEFAULT_WIDTH under the term cap
-# (the Dirichlet bracket narrows like N^-s), so alpha >= 2 starts coarser
-# and relies on certified refinement.
-DEFAULT_ZETA_THRESHOLD_WIDTH = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -61,10 +50,10 @@ class Precision:
             raise InvalidArgument(f"target width must be > 0, got {self.target_width}")
 
 
-def _target_width(prec) -> Fraction:
-    if isinstance(prec, Precision):
-        return prec.target_width
-    return Precision(as_rational(prec)).target_width
+def _target_bits(prec) -> int:
+    """Least k >= 0 with 2^-k <= the target width."""
+    w = (prec if isinstance(prec, Precision) else Precision(prec)).target_width
+    return (-(-w.denominator // w.numerator) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -83,141 +72,135 @@ class Threshold:
             )
 
 
-def _dirichlet_sum(s: int, lo: int, hi: int) -> Fraction:
-    # pairwise split keeps intermediate denominators near lcm scale
-    if lo == hi:
-        return Fraction(1, lo**s)
-    mid = (lo + hi) // 2
-    return _dirichlet_sum(s, lo, mid) + _dirichlet_sum(s, mid + 1, hi)
+def _check_terms(what: str, terms: int) -> None:
+    if terms > SERIES_TERM_CAP:
+        raise PrecisionCapExceeded(f"{what} needs more than {SERIES_TERM_CAP} series terms")
 
 
-def _zeta_bracket_ok(s: int, n: int, width: Fraction) -> bool:
-    # bracket width = (n^(1-s) - (n+1)^(1-s)) / (s-1) <= width, cross-multiplied
-    a, b = width.numerator, width.denominator
-    lhs = b * ((n + 1) ** (s - 1) - n ** (s - 1))
-    rhs = a * (s - 1) * n ** (s - 1) * (n + 1) ** (s - 1)
-    return lhs <= rhs
+def _centred(scaled, j: int) -> RatInterval:
+    """Bracket mid +- 2^-j of a constant x, its ends on the grid 2^-(j+4).
+
+    ``scaled(p)`` gives integers lo <= x * 2^p <= hi with hi - lo <= 4.  At
+    p = j + 7 that encloses x to 2^-(j+5); its centre, floored to the grid,
+    is mid, so x is within 5 * 2^-(j+6) of mid.  Each end keeps more than a
+    quarter of the width 2^(1-j) as slack, and the bracket at j+1 lies
+    inside the one at j.
+    """
+    lo, hi = scaled(j + 7)
+    mid, grid = (lo + hi) >> 4, 1 << (j + 4)
+    return RatInterval(Fraction(mid - 16, grid), Fraction(mid + 16, grid))
+
+
+def _zeta_scaled(s: int, p: int) -> tuple[int, int]:
+    """Integers lo <= zeta(s) * 2^p <= hi with hi - lo <= 2.
+
+    eta(s) * 2^k, k = p + 3, is summed by CRVZ Algorithm 1 in integers: d,
+    b and c are the algorithm's integers (b_j are coefficients of a shifted
+    Chebyshev polynomial, so each update divides exactly).  With
+    n = ceil(2(k+1)/5) terms, d > (3+sqrt 8)^n / 2 > 2^(5n/2 - 1) >= 2^k,
+    so the truncation error is below one unit; the n floors of the terms,
+    divided by d, and the final floor add less than one more each, so
+    eta(s) * 2^k lies in (v - 2, v + 2).  zeta = eta * r with
+    r = 2^(s-1) / (2^(s-1) - 1) <= 2, so the width is below 4r/8 + 2.
+    """
+    k = p + 3
+    n = -(-2 * (k + 1) // 5)
+    _check_terms(f"zeta({s}) to {k} bits", n)
+    d_prev, d = 1, 3
+    for _ in range(n - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, total = -1, -d, 0
+    for j in range(n):
+        c = b - c
+        total += (c << k) // (j + 1) ** s
+        b = b * 2 * (j + n) * (j - n) // ((2 * j + 1) * (j + 1))
+    v = total // d + 1
+    r_num, r_den = 2 ** (s - 1), 8 * (2 ** (s - 1) - 1)
+    return (v - 2) * r_num // r_den, -(-(v + 2) * r_num // r_den)
 
 
 def zeta_enclosure(s: int, prec) -> RatInterval:
-    """Certified bracket of zeta(s) for integer s >= 2, width <= the target."""
+    """Certified dyadic bracket of zeta(s) for integer s >= 2, width <= the target."""
     if not isinstance(s, int) or s < 2:
         raise InvalidArgument(f"zeta enclosure needs integer s >= 2, got {s!r}")
-    width = _target_width(prec)
-    if not _zeta_bracket_ok(s, SERIES_TERM_CAP, width):
-        raise PrecisionCapExceeded(
-            f"zeta({s}) at width {width} needs more than {SERIES_TERM_CAP} terms"
-        )
-    if _zeta_bracket_ok(s, 1, width):
-        n = 1
-    else:
-        lo_n, hi_n = 1, 2
-        while not _zeta_bracket_ok(s, hi_n, width):
-            lo_n = hi_n
-            hi_n = min(2 * hi_n, SERIES_TERM_CAP)
-        while lo_n + 1 < hi_n:
-            mid = (lo_n + hi_n) // 2
-            if _zeta_bracket_ok(s, mid, width):
-                hi_n = mid
-            else:
-                lo_n = mid
-        n = hi_n
-
-    partial = _dirichlet_sum(s, 1, n)
-    tail_lo = Fraction(1, (s - 1) * (n + 1) ** (s - 1))
-    tail_hi = Fraction(1, (s - 1) * n ** (s - 1))
-    return RatInterval(partial + tail_lo, partial + tail_hi)
+    return _centred(lambda p: _zeta_scaled(s, p), _target_bits(prec) + 1)
 
 
-def _arctan_inv_enclosure(x: int, max_err: Fraction) -> RatInterval:
-    """Bracket of arctan(1/x), alternating series, width <= max_err."""
-    total = Fraction(0)
-    k = 0
-    sign = 1
-    while True:
-        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-        if term <= max_err:
-            # remainder has sign (-1)^k and magnitude <= this first omitted term
-            if sign > 0:
-                return RatInterval(total, total + term)
-            return RatInterval(total - term, total)
-        total += sign * term
-        sign = -sign
-        k += 1
-        if k > SERIES_TERM_CAP:
-            raise PrecisionCapExceeded(f"arctan(1/{x}) series exceeded {SERIES_TERM_CAP} terms")
+def _arctan_inv_scaled(x: int, k: int) -> tuple[int, int]:
+    """(v, e) with |arctan(1/x) * 2^k - v| < e.
+
+    Each term floor(2^k / ((2i+1) x^(2i+1))) is an exact floor and loses
+    less than one unit; the alternating tail is below its first term,
+    which is below one unit when the loop stops.
+    """
+    power = (1 << k) // x
+    total = i = 0
+    while power:
+        term = power // (2 * i + 1)
+        total += -term if i & 1 else term
+        power //= x * x
+        i += 1
+    return total, i + 1
 
 
 def pi_enclosure(prec) -> RatInterval:
-    """Certified bracket of pi via Machin's formula, width <= the target."""
-    width = _target_width(prec)
-    a = _arctan_inv_enclosure(5, width / 32)
-    b = _arctan_inv_enclosure(239, width / 8)
-    return RatInterval(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
+    """Certified dyadic bracket of pi via Machin's formula, width <= the target."""
+    bits = _target_bits(prec)
+    # the counted error 16*ea + 4*eb is below 4k + 30 units, as ea < k/4.6 + 2
+    # and eb < k/15.8 + 2; these guard bits keep twice it below 2^(k - bits)
+    k = bits + bits.bit_length() + 8
+    # 5^(2i+1) > 2^(4i+2), so atan(1/5) takes fewer than k/4 + 1 terms
+    _check_terms(f"pi to {k} bits", k // 4 + 1)
+    a, ea = _arctan_inv_scaled(5, k)
+    b, eb = _arctan_inv_scaled(239, k)
+    v, e = 16 * a - 4 * b, 16 * ea + 4 * eb
+    return RatInterval(Fraction(v - e, 1 << k), Fraction(v + e, 1 << k))
 
 
-def _threshold_raw(alpha: int, width: Fraction) -> RatInterval:
+def _threshold_scaled(alpha: int, p: int) -> tuple[int, int]:
+    """Integers lo <= threshold * 2^p <= hi with hi - lo <= 4.
+
+    The threshold is n / (d * x^e) for x = pi (alpha 1) or zeta(alpha+1).
+    Near pi, 16/x^2 stretches widths by 32/pi^3 < 1.04; for alpha >= 2,
+    n/d <= 16/7 and zeta > 1, so n/(d x) stretches them by less than 2.3.
+    The brackets of x below keep the stretched width under one unit, and
+    the outward floor and ceiling add less than two.
+    """
     if alpha == 1:
-        # 16/pi^2; the map x -> 16/x^2 roughly preserves width near pi
-        w_pi = width / 2
-        while True:
-            p = pi_enclosure(Precision(w_pi))
-            raw = RatInterval(16 / (p.hi * p.hi), 16 / (p.lo * p.lo))
-            if raw.width() <= width:
-                return raw
-            w_pi /= 2
-    s = alpha + 1
-    c = Fraction(2 ** (alpha + 2), 2 ** (alpha + 1) - 1)
-    # zeta(s) > 1, so dividing c by the bracket shrinks the width
-    z = zeta_enclosure(s, Precision(width / c))
-    return interval_div_scalar(c, z)
+        x, n, d, e = pi_enclosure(Fraction(1, 2 ** (p + 1))), 16, 1, 2
+    else:
+        x = zeta_enclosure(alpha + 1, Fraction(1, 2 ** (p + 2)))
+        n, d, e = 2 ** (alpha + 2), 2 ** (alpha + 1) - 1, 1
+    lo = (n << p) * x.hi.denominator**e // (d * x.hi.numerator**e)
+    hi = -(-(n << p) * x.lo.denominator**e // (d * x.lo.numerator**e))
+    return lo, hi
 
 
 def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
-    """Threshold bracket for a given alpha, symmetric and width <= the target.
+    """Dyadic threshold bracket mid +- 2^-j, width 2^(1-j) <= the target.
 
-    The bracket is rebuilt tighter as needed so it always lies strictly
-    inside (1, 2), however coarse the request.
+    j doubles past the target as needed so the bracket lies strictly
+    inside (1, 2), however coarse the request or close to 2 the constant
+    (about 2 - 2 * 3^-(alpha+1)).
     """
     if not isinstance(alpha, int) or alpha < 1:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
-    w = _target_width(prec)
+    j = _target_bits(prec) + 1
     while True:
-        raw = _threshold_raw(alpha, w / 8)
-        mid = raw.midpoint()
-        candidate = RatInterval(mid - w / 2, mid + w / 2)
-        if candidate.lo > 1 and candidate.hi < 2:
-            return Threshold(alpha, candidate)
-        w /= 2
-
-
-def _dyadic_threshold(alpha: int, width: Fraction) -> Threshold:
-    """Threshold bracket of width <= width, endpoints multiples of 2^-k.
-
-    The symmetric enclosure at 3/4 of the width is rounded outward to the
-    grid 2^-k <= min(its width, lo - 1, 2 - hi) / 8: the two roundings add
-    at most a quarter of its width, and the bracket stays inside (1, 2).
-    Its endpoints then need about log2(1/width) + 4 bits, whatever the
-    size of the series sums behind them.
-    """
-    inner = threshold_enclosure(alpha, Precision(width * 3 / 4)).enclosure
-    slack = min(inner.width(), inner.lo - 1, 2 - inner.hi)
-    grid = 1 << (math.ceil(8 / slack) - 1).bit_length()  # least 2^k >= 8/slack
-    lo = Fraction(math.floor(inner.lo * grid), grid)
-    hi = Fraction(math.ceil(inner.hi * grid), grid)
-    return Threshold(alpha, RatInterval(lo, hi))
+        iv = _centred(lambda p: _threshold_scaled(alpha, p), j)
+        if iv.lo > 1 and iv.hi < 2:
+            return Threshold(alpha, iv)
+        j *= 2
 
 
 def refine(t: Threshold) -> Threshold:
     """Same constant, dyadic enclosure width at most half the input width."""
-    return _dyadic_threshold(t.alpha, t.enclosure.width() / 2)
+    return threshold_enclosure(t.alpha, t.enclosure.width() / 2)
 
 
 def default_threshold(alpha: int) -> Threshold:
-    """Dyadic threshold at the default width (coarser start for zeta-backed alphas)."""
-    if alpha == 1:
-        return _dyadic_threshold(1, DEFAULT_WIDTH)
-    return _dyadic_threshold(alpha, DEFAULT_ZETA_THRESHOLD_WIDTH)
+    """Dyadic threshold at the default width."""
+    return threshold_enclosure(alpha)
 
 
 def certified_compare(q, t: Threshold) -> tuple[Ordering3, Threshold]:

@@ -70,6 +70,16 @@ def test_sigma_command_unit():
     assert "classification: Deficient" in out
 
 
+def test_sigma_prints_integers_past_the_default_str_digit_limit():
+    # sigma(3^10000) = (3^10001 - 1)/2 has 4,772 digits, more than the
+    # 4,300 a fresh interpreter converts to str by default
+    proc = run_cli("sigma", "3^10000", "--format", "csv")
+    assert proc.returncode == 0
+    sigma = proc.stdout.decode().splitlines()[1].split(",")[2]
+    assert len(sigma) == 4772
+    assert int(sigma[-100:]) == (3**10001 - 1) // 2 % 10**100
+
+
 def test_sigma_output_round_trips_through_parser():
     proc = run_cli("sigma", "496")
     line = next(
@@ -200,10 +210,12 @@ def test_constants_alpha2():
     assert row[4].startswith("1.9015025658")
 
 
-def test_constants_zeta_default_width_is_out_of_reach():
-    proc = run_cli("constants", "--alpha", "2")
-    assert proc.returncode == 2
-    assert b"terms" in proc.stderr
+def test_constants_zeta_default_width_is_in_reach():
+    proc = run_cli("constants", "--alpha", "2", "--format", "csv")
+    assert proc.returncode == 0
+    row = proc.stdout.decode().splitlines()[1].split(",")
+    assert Fraction(row[3]) <= Fraction(1, 10**30)
+    assert row[4].startswith("1.90150256589875992841857435159")
 
 
 def test_constants_rejects_bad_width():

@@ -4,6 +4,12 @@
 the exact stdout and stderr that ``opnlab.cli.main`` produced before the
 output code was consolidated into one renderer.  Each case is replayed
 in-process and must match byte for byte.
+
+The six ``constants`` entries were re-recorded, and only they, when the
+constants became integer series with one dyadic bracket builder: the
+printed brackets are now the short dyadic ones comparisons use, in place
+of exact Dirichlet and Machin partial sums.  Every other entry is the
+original recording.
 """
 
 import functools

@@ -1,6 +1,8 @@
 import functools
+import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from opnlab import constants
 from opnlab.constants import (
     DEFAULT_WIDTH,
-    DEFAULT_ZETA_THRESHOLD_WIDTH,
     Precision,
     Threshold,
     certified_compare,
@@ -33,6 +34,73 @@ ALPHA2_REF = Fraction("1.901502566")
 
 def width(x) -> Fraction:
     return Fraction(x) if not isinstance(x, Fraction) else x
+
+
+# --- reference oracles, exact Fraction arithmetic, independent of the library
+
+
+def dirichlet_zeta(s: int, n: int) -> RatInterval:
+    """zeta(s) between the partial sum to n plus the two integral tail bounds
+
+    (n+1)^(1-s)/(s-1) <= sum_{k>n} k^(-s) <= n^(1-s)/(s-1).
+    """
+
+    def partial(lo, hi):
+        # pairwise split keeps intermediate denominators near lcm scale
+        if lo == hi:
+            return Fraction(1, lo**s)
+        mid = (lo + hi) // 2
+        return partial(lo, mid) + partial(mid + 1, hi)
+
+    total = partial(1, n)
+    return RatInterval(
+        total + Fraction(1, (s - 1) * (n + 1) ** (s - 1)),
+        total + Fraction(1, (s - 1) * n ** (s - 1)),
+    )
+
+
+def machin_pi(w: Fraction) -> RatInterval:
+    """pi = 16 atan(1/5) - 4 atan(1/239), each alternating series stopped at
+    its first term below w/32 (resp. w/8), which bounds its tail."""
+
+    def atan_inv(x, max_err):
+        total, k = Fraction(0), 0
+        while True:
+            term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
+            if term <= max_err:
+                return (total, total + term) if k % 2 == 0 else (total - term, total)
+            total += term if k % 2 == 0 else -term
+            k += 1
+
+    a_lo, a_hi = atan_inv(5, w / 32)
+    b_lo, b_hi = atan_inv(239, w / 8)
+    return RatInterval(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo)
+
+
+def crvz_zeta(s: int, w: Fraction) -> RatInterval:
+    """zeta(s) = eta(s) / (1 - 2^(1-s)), eta by Algorithm 1 of Cohen, Rodriguez
+    Villegas and Zagier in exact Fractions; |eta - S_n| <= eta / d_n < 1 / d_n."""
+    factor = 1 / (1 - Fraction(1, 2 ** (s - 1)))
+    n, d_prev, d = 1, 1, 3
+    while 2 * factor / d > w:
+        n, d_prev, d = n + 1, d, 6 * d - d_prev
+    b, c, total = Fraction(-1), Fraction(-d), Fraction(0)
+    for k in range(n):
+        c = b - c
+        total += c / (k + 1) ** s
+        b = b * (k + n) * (k - n) / (Fraction(2 * k + 1, 2) * (k + 1))
+    eta = total / d
+    return RatInterval((eta - Fraction(1, d)) * factor, (eta + Fraction(1, d)) * factor)
+
+
+def oracle_threshold(alpha: int, w: Fraction) -> RatInterval:
+    """Bracket of 2^(a+2) / (zeta(a+1) (2^(a+1)-1)) of width <= w."""
+    if alpha == 1:  # 16 / pi^2; 16/x^2 stretches widths near pi by < 1.04
+        p = machin_pi(w / 2)
+        return RatInterval(16 / p.hi**2, 16 / p.lo**2)
+    c = Fraction(2 ** (alpha + 2), 2 ** (alpha + 1) - 1)
+    z = crvz_zeta(alpha + 1, w / c)  # zeta > 1, so c/zeta narrows the width
+    return RatInterval(c / z.hi, c / z.lo)
 
 
 def test_precision_validation():
@@ -64,9 +132,14 @@ def test_zeta_rejects_bad_arguments():
         zeta_enclosure("2", Precision(Fraction(1)))
 
 
-def test_zeta_hits_series_cap():
-    with pytest.raises(PrecisionCapExceeded):
-        zeta_enclosure(2, Precision(Fraction(1, 10**30)))
+def test_zeta_thresholds_reach_default_width_quickly():
+    z2 = zeta_enclosure(2, Precision(DEFAULT_WIDTH))
+    assert z2.width() <= DEFAULT_WIDTH
+    assert z2.encloses(crvz_zeta(2, DEFAULT_WIDTH / 10**6))
+    start = time.perf_counter()
+    for alpha in range(2, 7):
+        assert threshold_enclosure(alpha, DEFAULT_WIDTH).enclosure.width() <= DEFAULT_WIDTH
+    assert time.perf_counter() - start < 0.05
 
 
 def test_zeta_brackets_nest_as_width_shrinks():
@@ -75,6 +148,26 @@ def test_zeta_brackets_nest_as_width_shrinks():
         cur = zeta_enclosure(2, Precision(Fraction(1, 10**exp)))
         assert prev.encloses(cur)
         prev = cur
+
+
+@pytest.mark.parametrize("exponent", [9, 12])
+def test_brackets_intersect_the_dirichlet_and_machin_oracles(exponent):
+    w = Fraction(1, 10**exponent)
+    p = machin_pi(w)
+    assert p.width() <= w
+    assert _intersect(pi_enclosure(w), p)
+    assert _intersect(threshold_enclosure(1, w).enclosure, RatInterval(16 / p.hi**2, 16 / p.lo**2))
+    for s in (3, 4, 5):
+        # n^-s bounds the Dirichlet bracket's width
+        z = dirichlet_zeta(s, math.ceil(10 ** (exponent / s)))
+        assert z.width() <= w
+        assert _intersect(zeta_enclosure(s, w), z)
+        c = Fraction(2 ** (s + 1), 2**s - 1)
+        assert _intersect(threshold_enclosure(s - 1, w).enclosure, RatInterval(c / z.hi, c / z.lo))
+
+
+def _intersect(a: RatInterval, b: RatInterval) -> bool:
+    return a.lo <= b.hi and b.lo <= a.hi
 
 
 def test_pi_enclosure_widths():
@@ -156,9 +249,17 @@ def test_threshold_validation():
         Threshold(1, RatInterval(Fraction(3, 2), Fraction(5, 2)))
 
 
-def test_zeta_backed_threshold_hits_cap():
-    with pytest.raises(PrecisionCapExceeded):
-        threshold_enclosure(2, Precision(Fraction(1, 10**17)))
+def test_zeta_backed_threshold_reaches_1e_1000_quickly():
+    w = Fraction(1, 10**1000)
+    start = time.perf_counter()
+    t = threshold_enclosure(2, w)
+    assert time.perf_counter() - start < 1.0
+    assert t.enclosure.width() <= w
+    assert t.enclosure.encloses(oracle_threshold(2, w / 10**6))
+    # the cap now stops only a series of more than 10^6 terms
+    for alpha in (1, 2):
+        with pytest.raises(PrecisionCapExceeded):
+            threshold_enclosure(alpha, Fraction(1, 2**5_000_000))
 
 
 def test_default_threshold_widths():
@@ -174,7 +275,7 @@ def _dyadic_bits(q: Fraction) -> int:
 
 def test_comparison_brackets_are_short_dyadic_and_sound():
     for alpha in range(1, 13):
-        target = DEFAULT_WIDTH if alpha == 1 else DEFAULT_ZETA_THRESHOLD_WIDTH
+        target = DEFAULT_WIDTH
         t, prev = default_threshold(alpha), None
         for _ in range(6):
             iv = t.enclosure
@@ -310,3 +411,36 @@ def test_decide_agrees_with_a_fine_enclosure(alpha, offset):
     expected = compare(q, fine)
     assume(expected is not Ordering3.INDETERMINATE)
     assert decide(q, alpha) is expected
+
+
+def test_decide_near_the_alpha2_constant_gets_a_verdict(empty_store):
+    # within 1e-16 of 16/(7 zeta(3)) the Dirichlet bracket ran into the
+    # series cap; every point here must now be decided
+    c = threshold_enclosure(2, Fraction(1, 10**60)).enclosure.midpoint()
+    for j in range(16, 35):
+        assert decide(c - Fraction(1, 10**j), 2) is Ordering3.BELOW
+        assert decide(c + Fraction(1, 10**j), 2) is Ordering3.ABOVE
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.integers(1, 8),
+    exponent=st.integers(1, 79),
+    mantissa=st.integers(10, 100),
+)
+def test_threshold_brackets_are_dyadic_nested_and_centred(alpha, exponent, mantissa):
+    # widths from 1e-1 down to 1e-80, each followed by five refinements
+    target = Fraction(mantissa, 10 ** (exponent + 2))
+    t, prev = threshold_enclosure(alpha, target), None
+    for _ in range(6):
+        iv = t.enclosure
+        w = iv.width()
+        assert w <= target
+        assert 1 < iv.lo and iv.hi < 2
+        for end in (iv.lo, iv.hi):
+            assert w * Fraction(2) ** (_dyadic_bits(end) - 8) <= 1
+        if prev is not None:
+            assert prev.encloses(iv)
+        ref = oracle_threshold(alpha, w / 1000)
+        assert iv.lo + w / 4 <= ref.lo and ref.hi <= iv.hi - w / 4
+        t, prev, target = refine(t), iv, w / 2
