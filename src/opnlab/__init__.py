@@ -16,7 +16,6 @@ from .abundancy import (
 )
 from .bound_tables import (
     BoundTableRow,
-    RhoParams,
     find_I,
     generate_table,
     perisastri_bound,
@@ -35,7 +34,6 @@ from .constants import (
 )
 from .errors import (
     InvalidArgument,
-    NonPositiveInterval,
     OpnlabError,
     ParseError,
     PrecisionCapExceeded,
@@ -45,7 +43,6 @@ from .exact_arith import (
     Ordering3,
     RatInterval,
     compare,
-    interval_div_scalar,
 )
 from .primes import (
     Factorization,
@@ -81,7 +78,6 @@ __all__ = [
     "Factorization",
     "InvalidArgument",
     "Mode",
-    "NonPositiveInterval",
     "OpnlabError",
     "Ordering3",
     "Outcome",
@@ -90,7 +86,6 @@ __all__ = [
     "PrecisionCapExceeded",
     "RatInterval",
     "ResourceLimit",
-    "RhoParams",
     "ScreenVerdict",
     "Threshold",
     "abundancy_report",
@@ -102,7 +97,6 @@ __all__ = [
     "full_screen",
     "generate_table",
     "geometric_split_check",
-    "interval_div_scalar",
     "is_prime",
     "nth_prime",
     "perfect_check",

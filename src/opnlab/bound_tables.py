@@ -19,6 +19,11 @@ a bisection of the final bracket: O(log I) window products instead of I.
 The window product also grows with m, so I(k, m) is nondecreasing in m and
 ``generate_table`` starts each search at I(k, m-1) - 1, a known not-below
 index, so a row then costs a few window products per column.
+
+Arguments are checked once, at the public entries.  A probe is the window
+product as an unreduced integer pair (num, den), prefix included, which
+``constants.decide`` compares by cross-multiplication; only ``rho``, which
+shows the value, reduces it to a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -36,31 +41,6 @@ TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
 
 
 @dataclass(frozen=True)
-class RhoParams:
-    """Window-product parameters: k-th factor bound, m distinct primes,
-    window starting at the r-th prime, alpha+1 terms per factor."""
-
-    k: int
-    m: int
-    r: int
-    alpha: int = 1
-
-    def __post_init__(self):
-        # the table search builds one per probe, from ints: test before coercing
-        if not type(self.k) is type(self.m) is type(self.r) is type(self.alpha) is int:
-            for name in ("k", "m", "r", "alpha"):
-                object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.k not in (1, 2, 3):
-            raise InvalidArgument(f"k must be 1, 2, or 3, got {self.k}")
-        if self.m < self.k:
-            raise InvalidArgument(f"m must be >= k, got m={self.m}, k={self.k}")
-        if self.r < 1:
-            raise InvalidArgument(f"r must be >= 1, got {self.r}")
-        if self.alpha < 1:
-            raise InvalidArgument(f"alpha must be >= 1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class BoundTableRow:
     m: int
     p_I1: int
@@ -75,15 +55,41 @@ class BoundTableRow:
             )
 
 
-def rho(params: RhoParams) -> Fraction:
-    """Exact window product for the given parameters."""
-    # sum_{i=0..h} p^-i = (p^(h+1) - 1) / (p^h (p - 1)); one gcd at the end
-    h = params.alpha
-    num = den = 1
-    for p in primes_window(params.r, params.m - params.k + 1):
+# rho_limit(k) as an integer pair: the product of (1 + 1/p) over the k-1
+# primes below the window, which never starts at the prime 2
+_PREFIX = {1: (1, 1), 2: (4, 3), 3: (8, 5)}
+
+
+def _checked(k, m, alpha) -> tuple[int, int, int]:
+    """The arguments ``rho`` and ``find_I`` share, coerced to int and checked."""
+    k, m, alpha = as_index(k, "k"), as_index(m, "m"), as_index(alpha, "alpha")
+    rho_limit(k)  # validates k before anything else
+    if m < k:
+        raise InvalidArgument(f"m must be >= k, got m={m}, k={k}")
+    if alpha < 1:
+        raise InvalidArgument(f"alpha must be >= 1, got {alpha}")
+    return k, m, alpha
+
+
+def _window(k: int, m: int, r: int, alpha: int) -> tuple[int, int]:
+    """Unreduced (num, den) of the window product; arguments already checked."""
+    # sum_{i=0..h} p^-i = (p^(h+1) - 1) / (p^h (p - 1))
+    h = alpha
+    num, den = _PREFIX[k]
+    for p in primes_window(r, m - k + 1):
         num *= p ** (h + 1) - 1
         den *= p**h * (p - 1)
-    return rho_limit(params.k) * Fraction(num, den)
+    return num, den
+
+
+def rho(k: int, m: int, r: int, alpha: int = 1) -> Fraction:
+    """Exact window product for the k-th factor bound with m distinct
+    primes, the window starting at the r-th prime, alpha+1 terms per factor."""
+    k, m, alpha = _checked(k, m, alpha)
+    r = as_index(r, "r")
+    if r < 1:
+        raise InvalidArgument(f"r must be >= 1, got {r}")
+    return Fraction(*_window(k, m, r, alpha))
 
 
 def rho_limit(k: int) -> Fraction:
@@ -93,12 +99,8 @@ def rho_limit(k: int) -> Fraction:
     16/pi^2, so no window index can ever fall below the threshold and the
     method stops at the third prime factor.
     """
-    if k == 1:
-        return Fraction(1)
-    if k == 2:
-        return Fraction(4, 3)
-    if k == 3:
-        return Fraction(8, 5)
+    if k in (1, 2, 3):
+        return Fraction(*_PREFIX[k])
     raise InvalidArgument(
         f"k must be 1, 2, or 3: the k={k} prefix product is not below the threshold"
     )
@@ -107,14 +109,15 @@ def rho_limit(k: int) -> Fraction:
 def _find_index(k: int, m: int, alpha: int, above: int = 1) -> int:
     """Smallest r > ``above`` (and r >= 2) whose window is certified below
     the threshold; ``above`` must be an index whose window is not below
-    (1 stands for none, since windows never start at the prime 2)."""
-    if decide(rho_limit(k), alpha) is not Ordering3.BELOW:
-        raise InvalidArgument(
-            f"prefix product for k={k} is not below the threshold; no bound exists"
-        )
+    (1 stands for none, since windows never start at the prime 2).
+
+    Such an r exists: windows tend to the prefix, at most 8/5, and the
+    threshold 2 * prod_{p odd} (1 - p^-(alpha+1)) rises with alpha from
+    16/pi^2 > 1.62, so every prefix lies below every threshold.
+    """
 
     def below(r: int) -> bool:
-        return decide(rho(RhoParams(k=k, m=m, r=r, alpha=alpha)), alpha) is Ordering3.BELOW
+        return decide(*_window(k, m, r, alpha), alpha) is Ordering3.BELOW
 
     # Probes stay within the sieve cap; only when the last window it can
     # supply is still not below does the next probe (like the linear scan)
@@ -148,13 +151,7 @@ def find_I(k: int, m: int, alpha: int = 1) -> int:
     then bisect the last bracket; it returns what a linear scan from r = 2
     returns, and raises ResourceLimit exactly where that scan would.
     """
-    k, m, alpha = as_index(k, "k"), as_index(m, "m"), as_index(alpha, "alpha")
-    rho_limit(k)  # validates k before anything else
-    if m < k:
-        raise InvalidArgument(f"m must be >= k, got m={m}, k={k}")
-    if alpha < 1:
-        raise InvalidArgument(f"alpha must be >= 1, got {alpha}")
-    return _find_index(k, m, alpha)
+    return _find_index(*_checked(k, m, alpha))
 
 
 def perisastri_bound(m: int) -> int:

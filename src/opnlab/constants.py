@@ -22,7 +22,8 @@ The enclosure functions are pure: each call computes its bracket from the
 series, so ``threshold_enclosure`` at a given width always returns the same
 endpoints.  The one bracket this module remembers is the tightest threshold
 per alpha that ``decide`` has needed, the store that the radical screen and
-the bound tables compare against.
+the bound tables compare against.  ``decide`` takes an unreduced integer
+pair (num, den), so a compared value is never reduced by a gcd.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument, PrecisionCapExceeded
-from .exact_arith import Ordering3, RatInterval, as_rational, compare
+from .exact_arith import Ordering3, RatInterval, _side, as_rational
 
 SERIES_TERM_CAP = 10**6
 DEFAULT_WIDTH = Fraction(1, 10**30)
@@ -203,6 +204,15 @@ def default_threshold(alpha: int) -> Threshold:
     return threshold_enclosure(alpha)
 
 
+def _decided(num: int, den: int, t: Threshold) -> tuple[Ordering3, Threshold]:
+    # refine until num/den (den > 0) falls outside the bracket
+    while True:
+        side = _side(num, den, t.enclosure)
+        if side is not Ordering3.INDETERMINATE:
+            return side, t
+        t = refine(t)
+
+
 def certified_compare(q, t: Threshold) -> tuple[Ordering3, Threshold]:
     """Compare a rational against a threshold, refining until decided.
 
@@ -212,11 +222,7 @@ def certified_compare(q, t: Threshold) -> tuple[Ordering3, Threshold]:
     unless the series cap is hit first.
     """
     q = as_rational(q)
-    while True:
-        side = compare(q, t.enclosure)
-        if side is not Ordering3.INDETERMINATE:
-            return side, t
-        t = refine(t)
+    return _decided(q.numerator, q.denominator, t)
 
 
 # the tightest bracket any decide() call has reached, one per alpha
@@ -224,15 +230,17 @@ _tightest: dict[int, Threshold] = {}
 _tightest_lock = threading.Lock()
 
 
-def decide(q, alpha: int) -> Ordering3:
-    """Certified position of a rational against the alpha threshold.
+def decide(num: int, den: int, alpha: int) -> Ordering3:
+    """Certified position of num/den against the alpha threshold.
 
+    num and den are ints with den > 0, not necessarily coprime; callers
+    validate them, since this runs once per table probe and radical case.
     Starts from the tightest bracket stored for alpha (the default one on
     the first call) and stores the refined bracket when it is narrower than
     the stored one.  A call decided without refinement takes no lock.
     """
     stored = _tightest.get(alpha)
-    side, t = certified_compare(q, stored or default_threshold(alpha))
+    side, t = _decided(num, den, stored or default_threshold(alpha))
     if t is not stored:
         with _tightest_lock:
             current = _tightest.get(alpha)

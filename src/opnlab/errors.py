@@ -9,10 +9,6 @@ class InvalidArgument(OpnlabError):
     """An argument violates a documented precondition."""
 
 
-class NonPositiveInterval(OpnlabError):
-    """An interval operation requires lo > 0 but got a non-positive endpoint."""
-
-
 class ResourceLimit(OpnlabError):
     """A computation exceeded the configured sieve cap or trial-division budget."""
 

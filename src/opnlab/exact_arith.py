@@ -4,7 +4,8 @@ Rationals are stdlib ``fractions.Fraction`` (arbitrary-size, always
 canonical: reduced, positive denominator).  A ``RatInterval`` is a pair of
 rationals certified, by construction, to bracket some real constant; the
 three-way ``compare`` decides the position of an exact rational against
-the bracket without ever touching floating point.
+the bracket without ever touching floating point; ``_side`` is the same
+test on an unreduced integer pair (num, den), with no gcd.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 from operator import index
 
-from .errors import InvalidArgument, NonPositiveInterval
+from .errors import InvalidArgument
 
 
 def as_rational(value) -> Fraction:
@@ -77,14 +78,15 @@ class RatInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def interval_div_scalar(c, b: RatInterval) -> RatInterval:
-    """Enclosure of c/x for x in b: [c/b.hi, c/b.lo], c > 0, b.lo > 0."""
-    c = as_rational(c)
-    if c <= 0:
-        raise NonPositiveInterval(f"interval_div_scalar requires c > 0, got {c}")
-    if b.lo <= 0:
-        raise NonPositiveInterval(f"interval_div_scalar requires b.lo > 0, got {b}")
-    return RatInterval(c / b.hi, c / b.lo)
+def _side(num: int, den: int, interval: RatInterval) -> Ordering3:
+    """Position of num/den (den > 0, not necessarily reduced) against
+    [lo, hi], by cross-multiplication: no gcd is taken."""
+    lo, hi = interval.lo, interval.hi
+    if num * lo.denominator < lo.numerator * den:
+        return Ordering3.BELOW
+    if num * hi.denominator > hi.numerator * den:
+        return Ordering3.ABOVE
+    return Ordering3.INDETERMINATE
 
 
 def compare(q, interval: RatInterval) -> Ordering3:
@@ -94,8 +96,4 @@ def compare(q, interval: RatInterval) -> Ordering3:
     the enclosed constant cannot be settled at this width; refine and retry.
     """
     q = as_rational(q)
-    if q < interval.lo:
-        return Ordering3.BELOW
-    if q > interval.hi:
-        return Ordering3.ABOVE
-    return Ordering3.INDETERMINATE
+    return _side(q.numerator, q.denominator, interval)

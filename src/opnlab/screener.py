@@ -184,13 +184,13 @@ def _screen_alpha1(ps) -> ScreenVerdict:
     value = _alpha1_product(ps)
     if value >= 2:
         return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA1_UPPER_BOUND, value)
-    if decide(value, 1) is Ordering3.BELOW:
+    if decide(value.numerator, value.denominator, 1) is Ordering3.BELOW:
         return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA1_LOWER_BOUND, value)
     return _CONSISTENT
 
 
 def _outside_alpha2_bounds(value: Fraction) -> bool:
-    return value >= 2 or decide(value, 2) is Ordering3.BELOW
+    return value >= 2 or decide(value.numerator, value.denominator, 2) is Ordering3.BELOW
 
 
 def _screen_alpha2_case2(ps) -> ScreenVerdict:

@@ -14,7 +14,7 @@ from opnlab.abundancy import (
 )
 from opnlab.constants import Precision, zeta_enclosure
 from opnlab.errors import InvalidArgument
-from opnlab.exact_arith import interval_div_scalar
+from opnlab.exact_arith import RatInterval
 from opnlab.primes import Factorization, factorize, primes_window
 
 EVEN_PERFECT = (6, 28, 496, 8128)
@@ -121,7 +121,7 @@ def test_truncation_of_perfect_numbers_is_sandwiched():
     # threshold here is 2/zeta(2), and 2 is attained only when every
     # exponent equals 1 (n = 6)
     z2 = zeta_enclosure(2, Precision(Fraction(1, 10**6)))
-    lower = interval_div_scalar(Fraction(2), z2)
+    lower = RatInterval(2 / z2.hi, 2 / z2.lo)
     for n in EVEN_PERFECT:
         f = factorize(n)
         assert sigma_minus_one(f) == 2

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from opnlab.abundancy import geometric_split_check, sigma_minus_one
-from opnlab.bound_tables import RhoParams, find_I, generate_table, rho, rho_limit
+from opnlab.bound_tables import find_I, generate_table, rho, rho_limit
 from opnlab.constants import Precision, certified_compare, default_threshold, threshold_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.exact_arith import Ordering3
@@ -123,8 +123,8 @@ def test_criterion_6_monotonicity_and_search_oracle():
                 r += 1
             assert find_I(k, m) == r
 
-            side_at, theta = certified_compare(rho(RhoParams(k, m, r)), theta)
-            side_before, theta = certified_compare(rho(RhoParams(k, m, r - 1)), theta)
+            side_at, theta = certified_compare(rho(k, m, r), theta)
+            side_before, theta = certified_compare(rho(k, m, r - 1), theta)
             assert side_at is Ordering3.BELOW
             assert side_before is Ordering3.ABOVE
     elapsed = time.monotonic() - t0

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnlab.bound_tables import (
+    _PREFIX,
     BoundTableRow,
-    RhoParams,
     find_I,
     generate_table,
     perisastri_bound,
@@ -55,23 +55,23 @@ def naive_scan(k, m, alpha=1):
         r += 1
 
 
-def test_rho_params_validation():
+def test_rho_validation():
     with pytest.raises(InvalidArgument):
-        RhoParams(k=4, m=9, r=2)
+        rho(k=4, m=9, r=2)
     with pytest.raises(InvalidArgument):
-        RhoParams(k=2, m=1, r=2)
+        rho(k=2, m=1, r=2)
     with pytest.raises(InvalidArgument):
-        RhoParams(k=1, m=9, r=0)
+        rho(k=1, m=9, r=0)
     with pytest.raises(InvalidArgument):
-        RhoParams(k=1, m=9, r=2, alpha=0)
+        rho(k=1, m=9, r=2, alpha=0)
 
 
 @pytest.mark.parametrize(
     "call, name",
     [
         (lambda: find_I(1, 9.5), "m"),
-        (lambda: rho(RhoParams(1, 9.5, 2)), "m"),
-        (lambda: RhoParams(1.0, 9, 2), "k"),
+        (lambda: rho(1, 9.5, 2), "m"),
+        (lambda: rho(1.0, 9, 2), "k"),
         (lambda: generate_table(9, 10.5), "m_max"),
         (lambda: perisastri_bound(9.0), "m"),
     ],
@@ -92,20 +92,17 @@ class _Index:
         return self.value
 
 
-def test_rho_params_store_coerced_integers():
-    params = RhoParams(_Index(1), _Index(9), _Index(2), _Index(1))
-    assert params == RhoParams(1, 9, 2, 1)
-    assert all(type(v) is int for v in (params.k, params.m, params.r, params.alpha))
-    assert rho(params) == rho(RhoParams(1, 9, 2))
+def test_rho_coerces_integer_like_arguments():
+    assert rho(_Index(1), _Index(9), _Index(2), _Index(1)) == rho(1, 9, 2)
 
 
 def test_rho_examples():
-    nine_window = rho(RhoParams(k=1, m=9, r=5))
+    nine_window = rho(k=1, m=9, r=5)
     assert nine_window == rho_oracle(1, 9, 5)
     assert Fraction("1.5350") < nine_window < Fraction("1.5351")
 
-    assert rho(RhoParams(k=1, m=1, r=2)) == Fraction(4, 3)
-    assert rho(RhoParams(k=3, m=3, r=4)) == Fraction(64, 35)
+    assert rho(k=1, m=1, r=2) == Fraction(4, 3)
+    assert rho(k=3, m=3, r=4) == Fraction(64, 35)
 
 
 def test_rho_matches_oracle_on_grid():
@@ -113,7 +110,7 @@ def test_rho_matches_oracle_on_grid():
         for m in (9, 12, 15, 64, 200):
             for r in (2, 5, 9, 311):
                 for alpha in (1, 2, 3):
-                    assert rho(RhoParams(k, m, r, alpha)) == rho_oracle(k, m, r, alpha)
+                    assert rho(k, m, r, alpha) == rho_oracle(k, m, r, alpha)
 
 
 def test_rho_limit_values():
@@ -133,14 +130,14 @@ def test_rho_strictly_decreases_in_r():
     for k in (1, 2, 3):
         for m in (9, 13, 20):
             for alpha in (1, 2):
-                values = [rho(RhoParams(k, m, r, alpha)) for r in range(2, 14)]
+                values = [rho(k, m, r, alpha) for r in range(2, 14)]
                 assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_rho_increases_with_m():
     for k in (1, 2, 3):
         for r in (2, 7):
-            values = [rho(RhoParams(k, m, r)) for m in range(9, 14)]
+            values = [rho(k, m, r) for m in range(9, 14)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -165,9 +162,11 @@ def test_find_matches_naive_scan_spot():
 )
 def test_find_is_the_first_certified_below_window(k, m, alpha):
     r = find_I(k, m, alpha)
-    assert decide(rho(RhoParams(k, m, r, alpha)), alpha) is Ordering3.BELOW
+    q = rho(k, m, r, alpha)
+    assert decide(q.numerator, q.denominator, alpha) is Ordering3.BELOW
     if r > 2:
-        assert decide(rho(RhoParams(k, m, r - 1, alpha)), alpha) is not Ordering3.BELOW
+        q = rho(k, m, r - 1, alpha)
+        assert decide(q.numerator, q.denominator, alpha) is not Ordering3.BELOW
 
 
 def test_find_raises_resource_limit_where_the_scan_does():
@@ -190,10 +189,18 @@ def test_find_certified_sidedness():
     for k in (1, 2, 3):
         r_star = find_I(k, 9)
         theta = default_threshold(1)
-        side_at, theta = certified_compare(rho(RhoParams(k, 9, r_star)), theta)
-        side_before, theta = certified_compare(rho(RhoParams(k, 9, r_star - 1)), theta)
+        side_at, theta = certified_compare(rho(k, 9, r_star), theta)
+        side_before, theta = certified_compare(rho(k, 9, r_star - 1), theta)
         assert side_at is Ordering3.BELOW
         assert side_before is Ordering3.ABOVE
+
+
+def test_every_prefix_is_below_every_threshold():
+    # the search never decides the prefix: 8/5 < 16/pi^2, and the threshold
+    # 2 * prod_{p odd} (1 - p^-(alpha+1)) rises with alpha
+    for prefix in _PREFIX.values():
+        for alpha in range(1, 13):
+            assert decide(*prefix, alpha) is Ordering3.BELOW
 
 
 def test_find_is_monotone_in_m():

@@ -331,7 +331,8 @@ def _near_miss(store, alpha):
     # refine; it sits at least 3/16 of the width from the constant (the
     # midpoint is within 1/16), so two halvings decide it
     iv = (store.get(alpha) or default_threshold(alpha)).enclosure
-    decide(iv.midpoint() + iv.width() / 4, alpha)
+    q = iv.midpoint() + iv.width() / 4
+    decide(q.numerator, q.denominator, alpha)
 
 
 def test_store_keeps_one_narrowing_bracket_per_alpha(empty_store):
@@ -342,8 +343,8 @@ def test_store_keeps_one_narrowing_bracket_per_alpha(empty_store):
             widths.append(empty_store[alpha].enclosure.width())
         assert all(b < a for a, b in zip(widths, widths[1:]))
         # decided by the stored bracket at once: the store is left alone
-        assert decide(Fraction(3, 2), alpha) is Ordering3.BELOW
-        assert decide(Fraction(2), alpha) is Ordering3.ABOVE
+        assert decide(3, 2, alpha) is Ordering3.BELOW
+        assert decide(2, 1, alpha) is Ordering3.ABOVE
         assert empty_store[alpha].enclosure.width() == widths[-1]
     assert sorted(empty_store) == [1, 2]
 
@@ -360,12 +361,12 @@ def test_threshold_enclosure_ignores_the_store(empty_store):
 def test_store_never_loses_its_tightest_bracket_across_threads(empty_store, monkeypatch):
     reached = []
 
-    def recording(q, t, _real=certified_compare):
-        side, refined = _real(q, t)
+    def recording(num, den, t, _real=constants._decided):
+        side, refined = _real(num, den, t)
         reached.append(refined.enclosure.width())
         return side, refined
 
-    monkeypatch.setattr(constants, "certified_compare", recording)
+    monkeypatch.setattr(constants, "_decided", recording)
     mid = threshold_enclosure(1, Fraction(1, 10**60)).enclosure.midpoint()
     # near misses at many distances, so threads refine to different widths
     misses = [mid + sign * Fraction(1, 10**j) for j in range(31, 51) for sign in (1, -1)]
@@ -376,7 +377,11 @@ def test_store_never_loses_its_tightest_bracket_across_threads(empty_store, monk
             empty_store.clear()
             reached.clear()
             workers = [
-                threading.Thread(target=lambda qs=misses[i::8]: [decide(q, 1) for q in qs])
+                threading.Thread(
+                    target=lambda qs=misses[i::8]: [
+                        decide(q.numerator, q.denominator, 1) for q in qs
+                    ]
+                )
                 for i in range(8)
             ]
             for w in workers:
@@ -404,13 +409,15 @@ def _fine(alpha):
 @given(
     alpha=st.sampled_from([1, 2]),
     offset=st.fractions(min_value=-1, max_value=1, max_denominator=10**10),
+    g=st.integers(min_value=1, max_value=10**6),
 )
-def test_decide_agrees_with_a_fine_enclosure(alpha, offset):
+def test_decide_agrees_with_a_fine_enclosure(alpha, offset, g):
     fine, near = _fine(alpha)
     q = near + offset
     expected = compare(q, fine)
     assume(expected is not Ordering3.INDETERMINATE)
-    assert decide(q, alpha) is expected
+    # decide takes unreduced pairs: a common factor must not matter
+    assert decide(q.numerator * g, q.denominator * g, alpha) is expected
 
 
 def test_decide_near_the_alpha2_constant_gets_a_verdict(empty_store):
@@ -418,8 +425,9 @@ def test_decide_near_the_alpha2_constant_gets_a_verdict(empty_store):
     # series cap; every point here must now be decided
     c = threshold_enclosure(2, Fraction(1, 10**60)).enclosure.midpoint()
     for j in range(16, 35):
-        assert decide(c - Fraction(1, 10**j), 2) is Ordering3.BELOW
-        assert decide(c + Fraction(1, 10**j), 2) is Ordering3.ABOVE
+        below, above = c - Fraction(1, 10**j), c + Fraction(1, 10**j)
+        assert decide(below.numerator, below.denominator, 2) is Ordering3.BELOW
+        assert decide(above.numerator, above.denominator, 2) is Ordering3.ABOVE
 
 
 @settings(max_examples=60, deadline=None)
