@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import index
 
 from .errors import InvalidArgument
+from .exact_arith import as_index
 from .primes import Factorization, is_prime
 
 
@@ -77,16 +78,25 @@ def _check_prime_set(primes) -> tuple[int, ...]:
     return ps
 
 
+def _truncated_pair(primes, h: int, num: int = 1, den: int = 1) -> tuple[int, int]:
+    """Unreduced (num, den) of num/den * prod over primes of sum_{i=0..h} p^-i.
+
+    The one builder of truncated products; each factor is
+    (1 + p + ... + p^h) / p^h, and no gcd is taken.
+    """
+    for p in primes:
+        power = p**h
+        num *= (power * p - 1) // (p - 1)
+        den *= power
+    return num, den
+
+
 def truncated_product(primes, alpha: int) -> Fraction:
     """prod over the given primes of sum_{i=0..alpha} p^-i, exactly."""
-    if not isinstance(alpha, int) or alpha < 1:
+    alpha = as_index(alpha, "alpha")
+    if alpha < 1:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
-    # sum_{i=0..alpha} p^-i = (p^(alpha+1) - 1) / (p^alpha (p - 1)); one gcd at the end
-    num = den = 1
-    for p in _check_prime_set(primes):
-        num *= p ** (alpha + 1) - 1
-        den *= p**alpha * (p - 1)
-    return Fraction(num, den)
+    return Fraction(*_truncated_pair(_check_prime_set(primes), alpha))
 
 
 def geometric_split_check(p: int, h: int, alpha: int) -> bool:

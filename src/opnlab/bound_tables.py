@@ -21,17 +21,18 @@ The window product also grows with m, so I(k, m) is nondecreasing in m and
 index, so a row then costs a few window products per column.
 
 Arguments are checked once, at the public entries.  A probe is the window
-product as an unreduced integer pair (num, den), prefix included, which
-``constants.decide`` compares by cross-multiplication; only ``rho``, which
-shows the value, reduces it to a ``Fraction``.
+product as an unreduced integer pair (num, den), prefix included, built by
+``abundancy._truncated_pair`` like the radical screen's products and decided
+like them by ``constants.decide``, which compares by cross-multiplication;
+only ``rho``, which shows the value, reduces it to a ``Fraction``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .abundancy import _truncated_pair
 from .constants import decide
 from .errors import InvalidArgument
 from .exact_arith import Ordering3, as_index
@@ -73,13 +74,7 @@ def _checked(k, m, alpha) -> tuple[int, int, int]:
 
 def _window(k: int, m: int, r: int, alpha: int) -> tuple[int, int]:
     """Unreduced (num, den) of the window product; arguments already checked."""
-    # sum_{i=0..h} p^-i = (p^(h+1) - 1) / (p^h (p - 1))
-    h = alpha
-    num, den = _PREFIX[k]
-    for p in primes_window(r, m - k + 1):
-        num *= p ** (h + 1) - 1
-        den *= p**h * (p - 1)
-    return num, den
+    return _truncated_pair(primes_window(r, m - k + 1), alpha, *_PREFIX[k])
 
 
 def rho(k: int, m: int, r: int, alpha: int = 1) -> Fraction:
@@ -159,7 +154,7 @@ def perisastri_bound(m: int) -> int:
     m = as_index(m, "m")
     if m < 1:
         raise InvalidArgument(f"m must be >= 1, got {m}")
-    return math.floor(Fraction(2 * m, 3) + 3)
+    return 2 * m // 3 + 3
 
 
 def generate_table(m_min: int, m_max: int, alpha: int = 1) -> list[BoundTableRow]:

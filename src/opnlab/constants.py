@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument, PrecisionCapExceeded
-from .exact_arith import Ordering3, RatInterval, _side, as_rational
+from .exact_arith import Ordering3, RatInterval, _side, as_index, as_rational
 
 SERIES_TERM_CAP = 10**6
 DEFAULT_WIDTH = Fraction(1, 10**30)
@@ -122,7 +122,8 @@ def _zeta_scaled(s: int, p: int) -> tuple[int, int]:
 
 def zeta_enclosure(s: int, prec) -> RatInterval:
     """Certified dyadic bracket of zeta(s) for integer s >= 2, width <= the target."""
-    if not isinstance(s, int) or s < 2:
+    s = as_index(s, "s")
+    if s < 2:
         raise InvalidArgument(f"zeta enclosure needs integer s >= 2, got {s!r}")
     return _centred(lambda p: _zeta_scaled(s, p), _target_bits(prec) + 1)
 
@@ -184,7 +185,8 @@ def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
     inside (1, 2), however coarse the request or close to 2 the constant
     (about 2 - 2 * 3^-(alpha+1)).
     """
-    if not isinstance(alpha, int) or alpha < 1:
+    alpha = as_index(alpha, "alpha")
+    if alpha < 1:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
     j = _target_bits(prec) + 1
     while True:

@@ -251,10 +251,6 @@ class Factorization:
     def from_pairs(cls, pairs) -> "Factorization":
         return cls(tuple(sorted(map(tuple, pairs))))
 
-    @classmethod
-    def from_int(cls, n: int) -> "Factorization":
-        return factorize(n)
-
     @cached_property
     def n(self) -> int:
         value = 1

@@ -13,14 +13,17 @@ Three layers, from structural to analytic:
   all-exponents->=2 case via prod(1+1/p+1/p^2), each tested against
   16/(7*zeta(3)) and 2.
 
-Each product multiplies integer numerators and denominators and builds a
-single ``Fraction``.  The alpha = 2 screen builds the all-even product once
-and derives each special-prime case from it by an exact factor swap,
-case2 * q(q+1)/(q^2+q+1), so a set of k primes costs k multiplications by
-small fractions rather than k rebuilt products.
+Each product is an unreduced integer pair (num, den) from
+``abundancy._truncated_pair``, decided like the bound-table windows: the
+upper bound by num >= 2 * den, the threshold by ``constants.decide``, which
+cross-multiplies against a certified bracket and refines as needed.  The
+alpha = 2 screen builds the all-even pair once and decides each
+special-prime case on it by an exact factor swap, multiplying in
+q(q+1) / (q^2+q+1), so a set of k primes costs k multiplications by small
+integers rather than k rebuilt products.
 
-All witnesses are exact rationals; threshold comparisons are certified
-interval comparisons with automatic refinement.
+A ``Fraction`` is built only for a witness, so a consistent verdict takes
+no gcd.  All witnesses are exact rationals.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abundancy import _check_prime_set, sigma
+from .abundancy import _check_prime_set, _truncated_pair, sigma
 from .constants import decide
 from .errors import InvalidArgument
 from .exact_arith import Ordering3
@@ -162,41 +165,25 @@ def _odd_prime_set(primes) -> tuple[int, ...]:
     return ps
 
 
-def _alpha1_product(ps) -> Fraction:
-    # prod (p+1)/p over integer products; one gcd at the end
-    num = den = 1
-    for p in ps:
-        num *= p + 1
-        den *= p
-    return Fraction(num, den)
-
-
-def _alpha2_product(ps) -> Fraction:
-    # prod (p^2+p+1)/p^2 over integer products; one gcd at the end
-    num = den = 1
-    for p in ps:
-        num *= p * p + p + 1
-        den *= p * p
-    return Fraction(num, den)
-
-
 def _screen_alpha1(ps) -> ScreenVerdict:
-    value = _alpha1_product(ps)
-    if value >= 2:
-        return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA1_UPPER_BOUND, value)
-    if decide(value.numerator, value.denominator, 1) is Ordering3.BELOW:
-        return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA1_LOWER_BOUND, value)
-    return _CONSISTENT
+    num, den = _truncated_pair(ps, 1)
+    if num >= 2 * den:
+        condition = Condition.ALPHA1_UPPER_BOUND
+    elif decide(num, den, 1) is Ordering3.BELOW:
+        condition = Condition.ALPHA1_LOWER_BOUND
+    else:
+        return _CONSISTENT
+    return ScreenVerdict(Outcome.VIOLATES, condition, Fraction(num, den))
 
 
-def _outside_alpha2_bounds(value: Fraction) -> bool:
-    return value >= 2 or decide(value.numerator, value.denominator, 2) is Ordering3.BELOW
+def _outside_alpha2_bounds(num: int, den: int) -> bool:
+    return num >= 2 * den or decide(num, den, 2) is Ordering3.BELOW
 
 
 def _screen_alpha2_case2(ps) -> ScreenVerdict:
-    value = _alpha2_product(ps)
-    if _outside_alpha2_bounds(value):
-        return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA2_CASE2, value)
+    num, den = _truncated_pair(ps, 2)
+    if _outside_alpha2_bounds(num, den):
+        return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA2_CASE2, Fraction(num, den))
     return _CONSISTENT
 
 
@@ -205,27 +192,29 @@ def _screen_alpha2_combined(ps) -> ScreenVerdict:
 
     With no prime = 1 mod 4 in the set the special-prime case is impossible,
     so the quantification over q is vacuously satisfied and the all-even case
-    alone decides.  Case witnesses are reported only on a refutation, so the
-    first surviving case ends the screen.
+    alone decides.  The first surviving case ends the screen; case witnesses
+    are built only on a refutation.
     """
-    case2_value = _alpha2_product(ps)
-    if not _outside_alpha2_bounds(case2_value):
+    num, den = _truncated_pair(ps, 2)
+    if not _outside_alpha2_bounds(num, den):
         return _CONSISTENT
-    cases: list[tuple[str, Fraction]] = [("case2", case2_value)]
-    for q in ps:
-        if q % 4 != 1:
-            continue
+    specials = [q for q in ps if q % 4 == 1]
+    for q in specials:
         # swap q's factor (q^2+q+1)/q^2 for (q+1)/q
-        value = case2_value * Fraction(q * (q + 1), q * q + q + 1)
-        if not _outside_alpha2_bounds(value):
+        if not _outside_alpha2_bounds(num * (q * (q + 1)), den * (q * q + q + 1)):
             return _CONSISTENT
-        cases.append((f"case1[q={q}]", value))
+    # reduce case 2 once and swap each case in as a small reduced fraction:
+    # reducing each swapped pair would cost a big-by-big gcd per case
+    case2 = Fraction(num, den)
+    cases = [("case2", case2)]
+    for q in specials:
+        cases.append((f"case1[q={q}]", case2 * Fraction(q * (q + 1), q * q + q + 1)))
     condition = (
         Condition.TRIPLE_EXCLUSION_357
         if {3, 5, 7} <= set(ps)
         else Condition.ALPHA2_CASE1
     )
-    return ScreenVerdict(Outcome.VIOLATES, condition, case2_value, tuple(cases))
+    return ScreenVerdict(Outcome.VIOLATES, condition, case2, tuple(cases))
 
 
 def radical_screen(primes, mode: Mode = Mode.AUTO) -> ScreenVerdict:

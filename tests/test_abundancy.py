@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from opnlab.abundancy import (
     Classification,
+    _truncated_pair,
     abundancy_report,
     geometric_split_check,
     sigma,
     sigma_minus_one,
     truncated_product,
 )
+from opnlab.bound_tables import _PREFIX
 from opnlab.constants import Precision, zeta_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.exact_arith import RatInterval
@@ -96,6 +98,36 @@ def test_truncated_product_rejects_non_integral_primes():
         truncated_product([3.7, 5], 1)
     with pytest.raises(InvalidArgument):
         truncated_product(["3", 5], 1)
+
+
+class _Index:
+    """An integer-like value that only supports __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_truncated_product_coerces_integer_like_alpha():
+    assert truncated_product({3, 5, 7}, _Index(2)) == Fraction(22971, 11025)
+    with pytest.raises(InvalidArgument, match="^alpha must be an integer"):
+        truncated_product({3, 5, 7}, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    primes=st.lists(st.sampled_from(primes_window(2, 40)), max_size=10, unique=True),
+    h=st.integers(min_value=1, max_value=6),
+    k=st.sampled_from(sorted(_PREFIX)),
+)
+def test_truncated_pair_equals_the_term_by_term_sum(primes, h, k):
+    expected = Fraction(*_PREFIX[k])
+    for p in primes:
+        expected *= sum(Fraction(1, p**i) for i in range(h + 1))
+    num, den = _truncated_pair(primes, h, *_PREFIX[k])
+    assert den > 0 and Fraction(num, den) == expected
 
 
 def test_geometric_split_examples():

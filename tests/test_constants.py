@@ -132,6 +132,26 @@ def test_zeta_rejects_bad_arguments():
         zeta_enclosure("2", Precision(Fraction(1)))
 
 
+class _Index:
+    """An integer-like value that only supports __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_enclosures_coerce_integer_like_arguments():
+    w = Precision(Fraction(1, 10**6))
+    assert threshold_enclosure(_Index(2), w) == threshold_enclosure(2, w)
+    assert zeta_enclosure(_Index(3), w) == zeta_enclosure(3, w)
+    with pytest.raises(InvalidArgument, match="^alpha must be an integer"):
+        threshold_enclosure(2.0, w)
+    with pytest.raises(InvalidArgument, match="^s must be an integer"):
+        zeta_enclosure(3.0, w)
+
+
 def test_zeta_thresholds_reach_default_width_quickly():
     z2 = zeta_enclosure(2, Precision(DEFAULT_WIDTH))
     assert z2.width() <= DEFAULT_WIDTH

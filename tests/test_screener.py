@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opnlab import abundancy, primes
+from opnlab import abundancy, primes, screener
 from opnlab.constants import Precision, threshold_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.exact_arith import Ordering3, compare
@@ -274,6 +274,29 @@ def test_full_screen_never_clears_small_odd_numbers():
     for n in range(1, 30002, 2):
         verdicts = full_screen(factorize(n))
         assert any(v.violates for v in verdicts), n
+
+
+# the all-even case fails on the first set and its special prime 17
+# survives, so the combined screen decides a swapped pair too
+@pytest.mark.parametrize(
+    "ps, mode",
+    [
+        ([3, 7, 17, 19, 47, 89, 97, 101, 113], Mode.AUTO),
+        ([3, 7, 17, 19, 47, 89, 97, 101, 113], Mode.ALPHA1),
+        ([3, 7, 17, 19, 47, 89, 97, 101, 113], Mode.ALPHA2_CASE1),
+        ([3, 7, 17, 31, 41, 53, 71, 83, 103], Mode.ALPHA2_CASE2),
+    ],
+)
+def test_consistent_radical_verdict_builds_no_fraction(monkeypatch, ps, mode):
+    built = []
+
+    def counting(*args, _real=Fraction):
+        built.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(screener, "Fraction", counting)
+    assert radical_screen(ps, mode).outcome is Outcome.CONSISTENT_SO_FAR
+    assert built == []
 
 
 def test_alpha2_screen_is_linear_in_the_set_size():
