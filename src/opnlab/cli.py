@@ -3,8 +3,11 @@
 Subcommands: sigma, screen, radical, table, constants.  Output formats are
 human (default), csv, and jsonl; the machine formats are byte-deterministic
 for identical inputs.  Exit codes: 0 consistent/success, 1 refuted, 2 on
-usage or internal errors.  All decimal renderings are produced by exact
-long division of the underlying rationals, never through floating point.
+usage or internal errors.  Every decimal rendering comes from one exact
+integer division of the underlying rational, truncated toward zero, never
+through floating point.  ``constants`` prints its bracket's midpoint to
+min(d, MAX_DECIMAL_DIGITS) + 1 places, where d is the least integer with
+10^-d <= width.
 
 Each subcommand builds its output once as a list of flat records, whose keys
 are the csv columns and the jsonl keys.  csv is a header line plus one row
@@ -32,23 +35,34 @@ from .exact_arith import as_rational
 from .primes import Factorization, factorize, set_prime_cap
 
 SIGMA_DECIMAL_DIGITS = 12
+MAX_DECIMAL_DIGITS = 10_000  # certified places shown by ``constants``, before its display digit
 
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
+# str() of an int past 4,300 digits raises under Python's default limit,
+# which only main() lifts
+_STR_PIECE_DIGITS = 4_000
+
+
+def _padded_digits(n: int, width: int) -> str:
+    """0 <= n < 10**width as exactly ``width`` digits, zero-padded.  Long
+    values are split in halves by 10**half (Brent and Zimmermann, Modern
+    Computer Arithmetic, 1.7), so str() only sees short pieces."""
+    if width <= _STR_PIECE_DIGITS:
+        return str(n).zfill(width)
+    half = width // 2
+    high, low = divmod(n, 10**half)
+    return _padded_digits(high, width - half) + _padded_digits(low, half)
+
 
 def decimal_str(q: Fraction, digits: int) -> str:
-    """Decimal rendering by long division, truncated toward zero."""
+    """Decimal rendering of |q| truncated toward zero, with q's sign, by one
+    exact integer division."""
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, rem = divmod(q.numerator, q.denominator)
+    whole, rem = divmod(abs(q.numerator), q.denominator)
     if digits <= 0:
         return f"{sign}{whole}"
-    out = []
-    for _ in range(digits):
-        rem *= 10
-        d, rem = divmod(rem, q.denominator)
-        out.append(str(d))
-    return f"{sign}{whole}." + "".join(out)
+    return f"{sign}{whole}." + _padded_digits(rem * 10**digits // q.denominator, digits)
 
 
 def frac_str(q: Fraction) -> str:
@@ -82,11 +96,22 @@ def parse_width(text: str) -> Fraction:
 
 
 def _certified_digits(width: Fraction) -> int:
-    # smallest d with 10^-d <= width, plus one display digit
-    d = 0
-    while Fraction(1, 10**d) > width and d < 10_000:
+    """Least d >= 0 with 10^-d <= width, capped at MAX_DECIMAL_DIGITS, plus
+    one display digit."""
+    # 10^-d <= width  <=>  10^d >= ceil(den / num)  <=>  10^d > n with
+    # n = ceil(den / num) - 1, so d is the digit count of n (0 when n is 0)
+    n = -(-width.denominator // width.numerator) - 1
+    if n <= 0:
+        return 1
+    # log10(2) ~ 0.30103, so below 10^7 digits d is off by at most one
+    d = n.bit_length() * 30103 // 100_000
+    if d > MAX_DECIMAL_DIGITS:
+        return MAX_DECIMAL_DIGITS + 1
+    if 10**d <= n:
         d += 1
-    return d + 1
+    elif 10 ** (d - 1) > n:
+        d -= 1
+    return min(d, MAX_DECIMAL_DIGITS) + 1
 
 
 def _cell(value) -> str:

@@ -22,6 +22,11 @@ special-prime case on it by an exact factor swap, multiplying in
 q(q+1) / (q^2+q+1), so a set of k primes costs k multiplications by small
 integers rather than k rebuilt products.
 
+The upper test num >= 2 * den also refutes a product of exactly 2.  In
+alpha = 2 case 1 that product is sigma(n)/n itself when q has exponent 1
+and every other exponent is exactly 2, so refuting it rests on Steuerwald's
+theorem (1937): no odd perfect number has the form q * prod p_i^2.
+
 A ``Fraction`` is built only for a witness, so a consistent verdict takes
 no gcd.  All witnesses are exact rationals.
 """

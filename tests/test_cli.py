@@ -6,9 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnlab import cli, screener
-from opnlab.cli import decimal_str, main, parse_factorization
+from opnlab.cli import MAX_DECIMAL_DIGITS, _certified_digits, decimal_str, main, parse_factorization
 from opnlab.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden" / "table_m9_m20_alpha1.csv"
@@ -30,6 +32,98 @@ def test_decimal_str_is_exact_long_division():
     assert decimal_str(Fraction(1, 3), 4) == "0.3333"
     assert decimal_str(Fraction(-1, 8), 2) == "-0.12"
     assert decimal_str(Fraction(7, 2), 0) == "3"
+
+
+# Oracles: one digit per step, by long division and by comparing 10^-d.
+def long_division_oracle(q: Fraction, digits: int) -> str:
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    whole, rem = divmod(q.numerator, q.denominator)
+    if digits <= 0:
+        return f"{sign}{whole}"
+    out = []
+    for _ in range(digits):
+        rem *= 10
+        d, rem = divmod(rem, q.denominator)
+        out.append(str(d))
+    return f"{sign}{whole}." + "".join(out)
+
+
+def certified_digits_oracle(width: Fraction) -> int:
+    d = 0
+    while Fraction(1, 10**d) > width and d < 10_000:
+        d += 1
+    return d + 1
+
+
+@pytest.fixture
+def default_int_str_limit():
+    # main() raises the process-wide int-to-str limit; library callers keep the default
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_decimal_str_edge_cases():
+    assert decimal_str(Fraction(-1, 1000), 2) == "-0.00"
+    assert decimal_str(Fraction(-7, 2), 0) == "-3"
+    assert decimal_str(Fraction(-7, 2), -2) == "-3"
+    assert decimal_str(Fraction(1, 1000), 3) == "0.001"
+    assert decimal_str(Fraction(0), 3) == "0.000"
+    assert decimal_str(Fraction(999, 1000), 2) == "0.99"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(min_value=-(10**40), max_value=10**40),
+    den=st.one_of(st.just(1), st.integers(min_value=1, max_value=10**30)),
+    digits=st.integers(min_value=-2, max_value=300),
+)
+def test_decimal_str_matches_long_division(num, den, digits):
+    q = Fraction(num, den)
+    assert decimal_str(q, digits) == long_division_oracle(q, digits)
+
+
+@pytest.mark.parametrize(
+    "q", [Fraction(-355, 113), Fraction(1, 7), Fraction(10**4500 + 1, 3**9000)]
+)
+@pytest.mark.parametrize("digits", [5_000, MAX_DECIMAL_DIGITS + 1])
+def test_decimal_str_past_the_default_str_digit_limit(default_int_str_limit, q, digits):
+    assert decimal_str(q, digits) == long_division_oracle(q, digits)
+
+
+_exponents = st.integers(min_value=0, max_value=60)
+_boundary_widths = st.builds(
+    lambda e, scale: Fraction(1, 10**e) * scale,
+    _exponents,
+    st.sampled_from([Fraction(1), Fraction(9_999, 10_000), Fraction(10_001, 10_000)]),
+)
+_wide_widths = st.builds(
+    lambda den, extra: Fraction(den + extra, den),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+_any_widths = st.builds(
+    Fraction,
+    st.integers(min_value=1, max_value=10**20),
+    st.integers(min_value=1, max_value=10**60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_boundary_widths, _wide_widths, _any_widths))
+def test_certified_digits_matches_the_per_digit_search(width):
+    assert _certified_digits(width) == certified_digits_oracle(width)
+
+
+def test_certified_digits_boundaries_and_cap():
+    for e in range(40):
+        assert _certified_digits(Fraction(1, 10**e)) == e + 1
+        assert _certified_digits(Fraction(1, 10**e) * Fraction(9_999, 10_000)) == e + 2
+        assert _certified_digits(Fraction(1, 10**e) * Fraction(10_001, 10_000)) == e + 1
+    assert _certified_digits(Fraction(3)) == 1
+    assert _certified_digits(Fraction(1, 10**12000)) == MAX_DECIMAL_DIGITS + 1 == 10_001
 
 
 def test_parse_factorization():
