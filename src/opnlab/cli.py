@@ -9,6 +9,12 @@ through floating point.  ``constants`` prints its bracket's midpoint to
 min(d, MAX_DECIMAL_DIGITS) + 1 places, where d is the least integer with
 10^-d <= width.
 
+``main()`` builds its parser once per process, on its first call, and
+dispatches on the parsed subcommand name, so later in-process calls only
+parse their arguments.  Each call sets the sieve cap from OPNLAB_PRIME_CAP,
+or the default when it is unset, and keeps the grown sieve when the cap is
+unchanged.
+
 Each subcommand builds its output once as a list of flat records, whose keys
 are the csv columns and the jsonl keys.  csv is a header line plus one row
 per record; jsonl is one JSON object per record.  A missing value
@@ -20,6 +26,7 @@ field (radical's ``primes``) appears in jsonl only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -32,7 +39,7 @@ from .abundancy import abundancy_report
 from .constants import Precision, threshold_enclosure
 from .errors import OpnlabError, ParseError
 from .exact_arith import as_rational
-from .primes import Factorization, factorize, set_prime_cap
+from .primes import DEFAULT_PRIME_CAP, Factorization, factorize, prime_cap, set_prime_cap
 
 SIGMA_DECIMAL_DIGITS = 12
 MAX_DECIMAL_DIGITS = 10_000  # certified places shown by ``constants``, before its display digit
@@ -286,7 +293,9 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every caller: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="opnlab",
         description="Odd-perfect-number necessary conditions: screening, "
@@ -297,31 +306,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma", help="divisor sum and reciprocal-divisor sum")
     p.add_argument("number", help="integer or factorization like 3^3*5*7")
     _add_format(p)
-    p.set_defaults(func=_cmd_sigma)
 
     p = sub.add_parser("screen", help="run all necessary-condition checks")
     p.add_argument("factorization", help="integer or factorization like 3^2*7^2*11^2*13")
     _add_format(p)
-    p.set_defaults(func=_cmd_screen)
 
     p = sub.add_parser("radical", help="exponent-free screening on a prime set")
     p.add_argument("primes", nargs="+", type=int, help="distinct odd primes")
     p.add_argument("--mode", choices=sorted(_MODES), default="auto")
     _add_format(p)
-    p.set_defaults(func=_cmd_radical)
 
     p = sub.add_parser("table", help="bound table for the three smallest prime factors")
     p.add_argument("--m-min", type=int, default=9, dest="m_min")
     p.add_argument("--m-max", type=int, default=20, dest="m_max")
     p.add_argument("--alpha", type=int, default=1)
     _add_format(p)
-    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("constants", help="certified threshold enclosure")
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--width", default="1e-30", help="target enclosure width")
     _add_format(p)
-    p.set_defaults(func=_cmd_constants)
 
     return parser
 
@@ -331,15 +335,15 @@ def main(argv=None) -> int:
     # must print past the default 4,300-digit int-to-str guard
     sys.set_int_max_str_digits(5_000_000)
     args = build_parser().parse_args(argv)
-    cap = os.environ.get("OPNLAB_PRIME_CAP")
-    if cap is not None:
-        try:
-            set_prime_cap(int(cap))
-        except (ValueError, OpnlabError) as exc:
-            print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
-            return 2
     try:
-        return args.func(args)
+        cap = int(os.environ.get("OPNLAB_PRIME_CAP", DEFAULT_PRIME_CAP))
+        if cap != prime_cap():  # keep the grown sieve when the cap is unchanged
+            set_prime_cap(cap)
+    except (ValueError, OpnlabError) as exc:
+        print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return globals()["_cmd_" + args.command](args)
     except OpnlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -240,6 +240,10 @@ class Factorization:
         prev = 1
         for p, e in self.factors:
             if p <= prev:
+                if p < 2:
+                    raise InvalidArgument(f"{p} is not prime")
+                if p == prev:
+                    raise InvalidArgument(f"duplicate prime {p}")
                 raise InvalidArgument(f"primes must be strictly increasing, got {p} after {prev}")
             if e < 1:
                 raise InvalidArgument(f"exponent for {p} must be >= 1, got {e}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnlab import cli, screener
+from opnlab import cli, primes, screener
 from opnlab.cli import MAX_DECIMAL_DIGITS, _certified_digits, decimal_str, main, parse_factorization
 from opnlab.errors import ParseError
 
@@ -339,3 +340,62 @@ def test_internal_error_exits_2_not_refuted(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("0^2", "0 is not prime"), ("1^5*3", "1 is not prime"), ("3*3", "duplicate prime 3")],
+)
+def test_sigma_factorization_errors_name_the_fault(text, message, capsys):
+    assert main(["sigma", text]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_prime_cap_env_does_not_leak_across_calls(monkeypatch, capsys):
+    monkeypatch.setenv("OPNLAB_PRIME_CAP", "50")
+    assert main(["table", "--format", "csv"]) == 2
+    monkeypatch.delenv("OPNLAB_PRIME_CAP")
+    assert main(["table", "--format", "csv"]) == 0
+    assert primes.prime_cap() == primes.DEFAULT_PRIME_CAP
+    assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("cap", [None, "50"])
+def test_an_unchanged_prime_cap_keeps_the_sieve(cap, monkeypatch, capsys):
+    if cap is None:
+        monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
+    else:
+        monkeypatch.setenv("OPNLAB_PRIME_CAP", cap)
+    try:
+        assert main(["sigma", "945"]) == 0
+        sieve = primes._default_sieve
+        assert main(["sigma", "945"]) == 0
+        assert primes._default_sieve is sieve
+    finally:
+        primes.set_prime_cap(primes.DEFAULT_PRIME_CAP)
+
+
+def test_warm_calls_build_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
+    main(["sigma", "28"])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.__wrapped__()  # an uncached build: the counter sees all six parsers
+    assert len(built) == 6
+    built.clear()
+    warm = (
+        ["sigma", "28"],
+        ["screen", "945"],
+        ["radical", "3", "5", "7", "--mode", "alpha2"],
+        ["table", "--m-min", "9", "--m-max", "9"],
+        ["constants", "--width", "1e-10", "--format", "csv"],
+    )
+    codes = [main(list(argv)) for argv in warm * 2]
+    assert codes == [0, 1, 1, 0, 0] * 2
+    assert built == []

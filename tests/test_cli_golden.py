@@ -10,15 +10,27 @@ constants became integer series with one dyadic bracket builder: the
 printed brackets are now the short dyadic ones comparisons use, in place
 of exact Dirichlet and Machin partial sums.  Every other entry is the
 original recording.
+
+A hypothesis test also replays random sequences of these cases through one
+process's ``main()``, between argparse usage errors, ``--help`` and calls
+under other sieve caps; each case must still match its record, so no state
+carries over from one call to the next.
 """
 
 import functools
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnlab.cli import main
+from opnlab.primes import DEFAULT_PRIME_CAP, set_prime_cap
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
 
@@ -57,3 +69,51 @@ def test_cli_output_matches_golden(argv, capsys, monkeypatch):
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert {"argv": argv, "exit": code, "stdout": out, "stderr": err} == _golden()[tuple(argv)]
+
+
+
+# Calls run between golden cases: argparse usage errors and --help leave
+# main() by SystemExit, and OPNLAB_PRIME_CAP sets a tight or a bad cap.
+_DISTURBANCES = [
+    (["frobnicate"], {}, 2),
+    ([], {}, 2),
+    (["--help"], {}, 0),
+    (["table", "--help"], {}, 0),
+    (["sigma"], {}, 2),
+    (["radical", "3", "x"], {}, 2),
+    (["constants", "--width"], {}, 2),
+    (["table", "--format", "xml"], {}, 2),
+    (["screen", "945", "--bogus"], {}, 2),
+    (["table", "--format", "csv"], {"OPNLAB_PRIME_CAP": "50"}, 2),
+    (["sigma", "945", "--format", "jsonl"], {"OPNLAB_PRIME_CAP": "50"}, 0),
+    (["sigma", "945"], {"OPNLAB_PRIME_CAP": "junk"}, 2),
+]
+_STEPS = [(case, {}, None) for case in CASES] + _DISTURBANCES
+
+
+def _call(argv, env):
+    """(exit, stdout, stderr) of one in-process main() call under ``env``."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("OPNLAB_PRIME_CAP", None)
+        os.environ.update(env)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_STEPS), min_size=2, max_size=8))
+def test_one_process_replays_each_case_like_a_fresh_one(steps):
+    try:
+        for argv, env, want in steps:
+            code, out, err = _call(argv, env)
+            if want is None:
+                record = {"argv": argv, "exit": code, "stdout": out, "stderr": err}
+                assert record == _golden()[tuple(argv)]
+            else:
+                assert code == want, (argv, env, err)
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)

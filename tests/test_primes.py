@@ -260,6 +260,21 @@ def test_factorization_validation():
         Factorization.from_pairs([(3, 1), (3, 2)])
 
 
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        (((0, 2),), "0 is not prime"),
+        (((1, 5), (3, 1)), "1 is not prime"),
+        (((-3, 1),), "-3 is not prime"),
+        (((3, 1), (3, 2)), "duplicate prime 3"),
+        (((5, 1), (3, 1)), "primes must be strictly increasing, got 3 after 5"),
+    ],
+)
+def test_factorization_errors_name_the_fault(factors, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        Factorization(factors)
+
+
 def test_factorization_rejects_non_integral_entries():
     # (7.9, 1), (11, 2.5) was once read as 7 * 11^2
     for factors in (((7.9, 1), (11, 2.5)), ((7, 1), (11, 2.5)), ((7.0, 1),)):
