@@ -1,14 +1,18 @@
 """Prime generation, primality testing, and desk-scale factorization.
 
 A single growable segmented sieve backs the indexed prime stream
-(``nth_prime``, ``primes_window``).  Primality for inputs beyond the sieve
-uses Miller-Rabin with a witness ladder: n below psi_k, the least strong
-pseudoprime to the first k prime bases, is decided by those k bases alone,
-which is deterministic for all inputs below psi_13 = 3.3e24 (covers
-64-bit).  Larger inputs are proven by trial division within the sieve
-budget.  No probabilistic answers are ever returned.  Every public entry
-point takes integers only (``operator.index``); anything else raises
-InvalidArgument naming the argument.
+(``nth_prime``, ``primes_window``).  ``is_prime`` proves its answer in four
+tiers.  Up to the sieve's limit it looks n up.  Above it, one gcd with the
+product of the primes up to 1024 that every sieve starts with finds any
+factor up to 1024; below (1024 + 1)**2 = 1,050,625 no such factor proves n
+prime.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a
+witness ladder: n below psi_k, the least strong pseudoprime to the first k
+prime bases, is decided by those k bases alone.  Past psi_13 a failed
+13-base strong test proves n composite, and a pass is proven prime by trial
+division within the sieve budget.  No probabilistic answers are ever
+returned.  Every public entry point takes integers only
+(``operator.index``); anything else raises InvalidArgument naming the
+argument.
 """
 
 from __future__ import annotations
@@ -59,6 +63,15 @@ def _simple_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+# Every sieve starts with the primes up to _START_LIMIT, and one gcd with
+# their product trial-divides by all 172 of them.  A composite below
+# (_START_LIMIT + 1)**2 has a prime factor <= _START_LIMIT, so below that
+# bound a gcd of 1 proves n prime.
+_START_LIMIT = 1024
+_START_PRIMORIAL = math.prod(_simple_sieve(_START_LIMIT))
+_GCD_BOUND = (_START_LIMIT + 1) ** 2
+
+
 class _Sieve:
     """Segmented sieve of Eratosthenes with an incremental, growable bound."""
 
@@ -68,8 +81,8 @@ class _Sieve:
             raise InvalidArgument(f"prime cap must be >= 1, got {cap}")
         self.cap = cap
         self._lock = threading.RLock()
-        self._limit = 1024
-        self._primes = _simple_sieve(self._limit)
+        self._limit = _START_LIMIT
+        self._primes = _simple_sieve(_START_LIMIT)
 
     @property
     def limit(self) -> int:
@@ -137,7 +150,8 @@ def prime_cap() -> int:
 
 def _miller_rabin(n: int) -> bool:
     """Strong probable-prime test of n > 41 to the first k bases, where
-    k is the least count with n < psi_k; deterministic for n < _MR_BOUND."""
+    k is the least count with n < psi_k, or all 13 from psi_13 on.  False
+    proves n composite at any size; True proves n prime below _MR_BOUND."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -161,11 +175,14 @@ def _miller_rabin(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test; never probabilistic.
 
-    Sieve lookup within the sieve, else trial division by the 13 witness
-    primes, then Miller-Rabin with the bases the witness ladder gives n's
-    size (1 below 2047, all 13 from psi_12 to psi_13 = 3.3e24), and trial
-    division past psi_13.  Raises ResourceLimit only for inputs beyond
-    psi_13 whose certification would exceed the trial-division budget.
+    Four tiers: a sieve lookup up to the sieve's limit; above it, one gcd
+    with the product of the primes up to 1024, which decides n below
+    (1024 + 1)**2 = 1,050,625; then Miller-Rabin with the bases the witness
+    ladder gives n's size (2 below 1,373,653, all 13 from psi_12 to psi_13
+    = 3.3e24); past psi_13, the 13-base strong test, whose failure proves n
+    composite, then trial division.  Raises ResourceLimit only for inputs
+    beyond psi_13 that pass the strong test and whose certification would
+    exceed the trial-division budget.
     """
     if type(n) is not int:  # hot path: plain ints skip the call
         n = as_index(n, "n")
@@ -174,12 +191,15 @@ def is_prime(n: int) -> bool:
     sieve = _default_sieve
     if n <= sieve.limit:
         return sieve.contains(n)
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return False
+    if math.gcd(n, _START_PRIMORIAL) != 1:
+        return False
+    if n < _GCD_BOUND:
+        return True
+    if not _miller_rabin(n):
+        return False
     if n < _MR_BOUND:
-        return _miller_rabin(n)
-    # gigantic input: certify by trial division, budget = sieve cap
+        return True
+    # gigantic probable prime: certify by trial division, budget = sieve cap
     root = math.isqrt(n)
     idx = 0
     while True:

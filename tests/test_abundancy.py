@@ -145,6 +145,10 @@ def test_geometric_split_validation():
         geometric_split_check(3, -1, 1)
     with pytest.raises(InvalidArgument):
         geometric_split_check(3, 2, 0)
+    with pytest.raises(InvalidArgument, match="^h must be an integer"):
+        geometric_split_check(3, 2.0, 1)
+    with pytest.raises(InvalidArgument, match="^alpha must be an integer"):
+        geometric_split_check(3, 2, 1.0)
 
 
 def test_truncation_of_perfect_numbers_is_sandwiched():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opnlab import primes
 from opnlab.errors import InvalidArgument, ResourceLimit
 from opnlab.primes import (
     _MR_PSI,
@@ -230,6 +231,60 @@ def test_is_prime_agrees_with_sieve_oracle_exhaustively():
     flags = sieve_flags(limit)
     mismatches = [n for n in range(limit + 1) if is_prime(n) != bool(flags[n])]
     assert mismatches == []
+
+
+GCD_BOUND = 1025**2  # every composite below it has a prime factor <= 1024
+
+
+def test_is_prime_agrees_with_sieve_oracle_on_a_fresh_sieve():
+    # a fresh sieve stops at 1024, so every n above it takes the gcd tier
+    limit = 1_060_000
+    flags = sieve_flags(limit)
+    set_prime_cap(DEFAULT_PRIME_CAP)
+    try:
+        assert primes._default_sieve.limit == 1024
+        mismatches = [n for n in range(limit + 1) if is_prime(n) != bool(flags[n])]
+        assert primes._default_sieve.limit == 1024
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (1021**2, False),  # the square of the largest starting prime
+        (GCD_BOUND, False),
+        (1050611, True),  # the primes on either side of the bound
+        (1050631, True),
+        (1031**2, False),  # the least composites with no factor <= 1024
+        (1031 * 1033, False),
+    ],
+)
+def test_is_prime_across_the_gcd_bound_on_a_fresh_sieve(n, expected):
+    set_prime_cap(DEFAULT_PRIME_CAP)
+    try:
+        assert primes._default_sieve.limit < n
+        assert is_prime(n) is expected
+        assert prime_by_trial_division(n) is expected
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
+
+
+def test_strong_test_rejects_composites_past_psi_13():
+    # under a cap of 10 primes, reaching trial division raises at once
+    set_prime_cap(10)
+    try:
+        n = (2**61 - 1) * (2**31 - 1)
+        assert n > PSI[-1] and math.gcd(n, math.prod(range(1, 1025))) == 1
+        assert not is_prime(n)
+        assert not is_prime(PSI[-1] * 1031)
+        # psi_13 passes all 13 bases, and a prime passes them all too
+        for n in (PSI[-1], 2**89 - 1):
+            with pytest.raises(ResourceLimit):
+                is_prime(n)
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
 
 
 def test_factorize_examples():

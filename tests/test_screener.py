@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import random
@@ -388,3 +389,58 @@ def test_every_mode_matches_naive_case_products(ps, mode):
     v = radical_screen(ps, mode)
     assert (v.violated_condition, v.witness, v.case_witnesses) == expected
     assert v.violates == (expected[0] is not None)
+
+
+_RADICAL_LIMIT = 2 * 10**6
+
+
+@functools.cache
+def _odd_primes_below_limit():
+    flags = bytearray([1]) * _RADICAL_LIMIT
+    flags[0:3] = b"\x00\x00\x00"  # 2 is left out with 0 and 1
+    for p in range(2, math.isqrt(_RADICAL_LIMIT) + 1):
+        if flags[p]:
+            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
+    return [n for n in range(3, _RADICAL_LIMIT, 2) if flags[n]]
+
+
+def _log_uniform_prime(u):
+    # the largest odd prime <= 3 * (limit / 3)^u, as the radical benchmark
+    # draws its sets; u runs over [0, 1] in steps of 1e-6
+    odd_primes = _odd_primes_below_limit()
+    x = 3 * (_RADICAL_LIMIT / 3) ** (u / 10**6)
+    return odd_primes[bisect.bisect_right(odd_primes, x) - 1]
+
+
+@functools.cache
+def _grown_sieve():
+    sieve = primes._Sieve()
+    sieve.ensure_limit(_RADICAL_LIMIT)
+    return sieve
+
+
+def _screen_on(sieve, ps):
+    saved = primes._default_sieve
+    primes._default_sieve = sieve
+    try:
+        return radical_screen(ps, Mode.AUTO)
+    finally:
+        primes._default_sieve = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(
+        st.integers(0, 10**6).map(_log_uniform_prime),
+        min_size=9,
+        max_size=40,
+    )
+)
+def test_radical_verdict_does_not_depend_on_how_its_primes_were_proven(ps):
+    # on a fresh sieve every prime above 1024 is proven by gcd or
+    # Miller-Rabin; on the grown one every prime is a sieve lookup
+    fresh = primes._Sieve()
+    on_fresh = _screen_on(fresh, ps)
+    assert fresh.limit == 1024
+    # equal outcome, condition, witness and case witnesses
+    assert on_fresh == _screen_on(_grown_sieve(), ps)
