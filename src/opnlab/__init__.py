@@ -26,9 +26,7 @@ from .constants import (
     DEFAULT_WIDTH,
     Precision,
     Threshold,
-    certified_compare,
     pi_enclosure,
-    refine,
     threshold_enclosure,
     zeta_enclosure,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "ScreenVerdict",
     "Threshold",
     "abundancy_report",
-    "certified_compare",
     "compare",
     "euler_form_check",
     "factorize",
@@ -105,7 +102,6 @@ __all__ = [
     "prime_cap",
     "primes_window",
     "radical_screen",
-    "refine",
     "rho",
     "rho_limit",
     "set_prime_cap",

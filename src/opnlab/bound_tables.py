@@ -138,7 +138,7 @@ def find_I(k: int, m: int, alpha: int = 1) -> int:
     alpha threshold.
 
     Each comparison goes through ``constants.decide``, so it is certified
-    against the tightest threshold bracket stored so far.  The window
+    against a threshold bracket fine enough to decide it.  The window
     product strictly decreases in r, so every later window is below the
     threshold too and the prime at the returned index is an upper bound for
     the k-th smallest prime factor.  That monotonicity lets the search

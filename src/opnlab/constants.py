@@ -20,15 +20,16 @@ constant lies nearly half a width inside each end.
 
 The enclosure functions are pure: each call computes its bracket from the
 series, so ``threshold_enclosure`` at a given width always returns the same
-endpoints.  The one bracket this module remembers is the tightest threshold
-per alpha that ``decide`` has needed, the store that the radical screen and
-the bound tables compare against.  ``decide`` takes an unreduced integer
-pair (num, den), so a compared value is never reduced by a gcd.
+endpoints.  The threshold brackets come from one builder, ``_bracket``,
+memoized in a bounded cache, so the radical screen and the bound tables
+compare against brackets built once per process.  ``decide`` takes an
+unreduced integer pair (num, den), so a compared value is never reduced by
+a gcd.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,6 +179,12 @@ def _threshold_scaled(alpha: int, p: int) -> tuple[int, int]:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=64)
+def _bracket(alpha: int, j: int) -> RatInterval:
+    """Threshold bracket mid +- 2^-j; a table or a screen asks for few (alpha, j)."""
+    return _centred(lambda p: _threshold_scaled(alpha, p), j)
+
+
 def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
     """Dyadic threshold bracket mid +- 2^-j, width 2^(1-j) <= the target.
 
@@ -190,63 +197,29 @@ def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
     j = _target_bits(prec) + 1
     while True:
-        iv = _centred(lambda p: _threshold_scaled(alpha, p), j)
+        iv = _bracket(alpha, j)
         if iv.lo > 1 and iv.hi < 2:
             return Threshold(alpha, iv)
         j *= 2
 
 
-def refine(t: Threshold) -> Threshold:
-    """Same constant, dyadic enclosure width at most half the input width."""
-    return threshold_enclosure(t.alpha, t.enclosure.width() / 2)
-
-
-def default_threshold(alpha: int) -> Threshold:
-    """Dyadic threshold at the default width."""
-    return threshold_enclosure(alpha)
-
-
-def _decided(num: int, den: int, t: Threshold) -> tuple[Ordering3, Threshold]:
-    # refine until num/den (den > 0) falls outside the bracket
-    while True:
-        side = _side(num, den, t.enclosure)
-        if side is not Ordering3.INDETERMINATE:
-            return side, t
-        t = refine(t)
-
-
-def certified_compare(q, t: Threshold) -> tuple[Ordering3, Threshold]:
-    """Compare a rational against a threshold, refining until decided.
-
-    Returns the ordering and the (possibly refined) threshold so callers can
-    keep the sharper bracket.  The compared products are rational and the
-    thresholds irrational, so equality is impossible and the loop terminates
-    unless the series cap is hit first.
-    """
-    q = as_rational(q)
-    return _decided(q.numerator, q.denominator, t)
-
-
-# the tightest bracket any decide() call has reached, one per alpha
-_tightest: dict[int, Threshold] = {}
-_tightest_lock = threading.Lock()
+_DEFAULT_J = _target_bits(DEFAULT_WIDTH) + 1
 
 
 def decide(num: int, den: int, alpha: int) -> Ordering3:
     """Certified position of num/den against the alpha threshold.
 
-    num and den are ints with den > 0, not necessarily coprime; callers
-    validate them, since this runs once per table probe and radical case.
-    Starts from the tightest bracket stored for alpha (the default one on
-    the first call) and stores the refined bracket when it is narrower than
-    the stored one.  A call decided without refinement takes no lock.
+    num and den are ints with den > 0, not necessarily coprime, and alpha is
+    an int >= 1; callers validate them, since this runs once per table probe
+    and radical case.  Starts from the default-width bracket and doubles j
+    until the bracket decides: each bracket encloses the constant, so any
+    decided side is proven, and none need lie inside (1, 2).  num/den is
+    rational and the constant irrational, so the walk ends unless the series
+    cap is hit first; a near miss visits O(log) brackets, not one per bit.
     """
-    stored = _tightest.get(alpha)
-    side, t = _decided(num, den, stored or default_threshold(alpha))
-    if t is not stored:
-        with _tightest_lock:
-            current = _tightest.get(alpha)
-            # another thread may have stored a narrower bracket meanwhile
-            if current is None or t.enclosure.width() < current.enclosure.width():
-                _tightest[alpha] = t
-    return side
+    j = _DEFAULT_J
+    while True:
+        side = _side(num, den, _bracket(alpha, j))
+        if side is not Ordering3.INDETERMINATE:
+            return side
+        j *= 2

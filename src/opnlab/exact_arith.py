@@ -93,7 +93,7 @@ def compare(q, interval: RatInterval) -> Ordering3:
     """Decide q against [lo, hi]: Below if q < lo, Above if q > hi, else Indeterminate.
 
     Indeterminate means q lies inside the bracket, so the comparison against
-    the enclosed constant cannot be settled at this width; refine and retry.
+    the enclosed constant cannot be settled at this width; a finer bracket may.
     """
     q = as_rational(q)
     return _side(q.numerator, q.denominator, interval)

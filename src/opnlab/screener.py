@@ -16,7 +16,7 @@ Three layers, from structural to analytic:
 Each product is an unreduced integer pair (num, den) from
 ``abundancy._truncated_pair``, decided like the bound-table windows: the
 upper bound by num >= 2 * den, the threshold by ``constants.decide``, which
-cross-multiplies against a certified bracket and refines as needed.  The
+cross-multiplies against a certified bracket, finer only if needed.  The
 alpha = 2 screen builds the all-even pair once and decides each
 special-prime case on it by an exact factor swap, multiplying in
 q(q+1) / (q^2+q+1), so a set of k primes costs k multiplications by small
@@ -241,10 +241,7 @@ def _radical_screen(ps: tuple[int, ...], mode: Mode) -> ScreenVerdict:
         verdict = _screen_alpha1(ps)
         if verdict.violates:
             return verdict
-        verdict = _screen_alpha2_combined(ps)
-        if verdict.violates:
-            return verdict
-        return _CONSISTENT
+        return _screen_alpha2_combined(ps)
     raise InvalidArgument(f"unknown screening mode: {mode!r}")
 
 

@@ -1,0 +1,95 @@
+"""Reference brackets of pi, zeta(s) and the screening thresholds.
+
+Exact ``Fraction`` arithmetic throughout, independent of the library: the
+library's own code is used only for ``RatInterval`` and the exact
+``compare`` of a rational against a bracket.
+"""
+
+import functools
+from fractions import Fraction
+
+from opnlab.exact_arith import Ordering3, RatInterval, compare
+
+
+def dirichlet_zeta(s: int, n: int) -> RatInterval:
+    """zeta(s) between the partial sum to n plus the two integral tail bounds
+
+    (n+1)^(1-s)/(s-1) <= sum_{k>n} k^(-s) <= n^(1-s)/(s-1).
+    """
+
+    def partial(lo, hi):
+        # pairwise split keeps intermediate denominators near lcm scale
+        if lo == hi:
+            return Fraction(1, lo**s)
+        mid = (lo + hi) // 2
+        return partial(lo, mid) + partial(mid + 1, hi)
+
+    total = partial(1, n)
+    return RatInterval(
+        total + Fraction(1, (s - 1) * (n + 1) ** (s - 1)),
+        total + Fraction(1, (s - 1) * n ** (s - 1)),
+    )
+
+
+def machin_pi(w: Fraction) -> RatInterval:
+    """pi = 16 atan(1/5) - 4 atan(1/239), each alternating series stopped at
+    its first term below w/32 (resp. w/8), which bounds its tail."""
+
+    def atan_inv(x, max_err):
+        total, k = Fraction(0), 0
+        while True:
+            term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
+            if term <= max_err:
+                return (total, total + term) if k % 2 == 0 else (total - term, total)
+            total += term if k % 2 == 0 else -term
+            k += 1
+
+    a_lo, a_hi = atan_inv(5, w / 32)
+    b_lo, b_hi = atan_inv(239, w / 8)
+    return RatInterval(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo)
+
+
+def crvz_zeta(s: int, w: Fraction) -> RatInterval:
+    """zeta(s) = eta(s) / (1 - 2^(1-s)), eta by Algorithm 1 of Cohen, Rodriguez
+    Villegas and Zagier in exact Fractions; |eta - S_n| <= eta / d_n < 1 / d_n."""
+    factor = 1 / (1 - Fraction(1, 2 ** (s - 1)))
+    n, d_prev, d = 1, 1, 3
+    while 2 * factor / d > w:
+        n, d_prev, d = n + 1, d, 6 * d - d_prev
+    b, c, total = Fraction(-1), Fraction(-d), Fraction(0)
+    for k in range(n):
+        c = b - c
+        total += c / (k + 1) ** s
+        b = b * (k + n) * (k - n) / (Fraction(2 * k + 1, 2) * (k + 1))
+    eta = total / d
+    return RatInterval((eta - Fraction(1, d)) * factor, (eta + Fraction(1, d)) * factor)
+
+
+def oracle_threshold(alpha: int, w: Fraction) -> RatInterval:
+    """Bracket of 2^(a+2) / (zeta(a+1) (2^(a+1)-1)) of width <= w."""
+    if alpha == 1:  # 16 / pi^2; 16/x^2 stretches widths near pi by < 1.04
+        p = machin_pi(w / 2)
+        return RatInterval(16 / p.hi**2, 16 / p.lo**2)
+    c = Fraction(2 ** (alpha + 2), 2 ** (alpha + 1) - 1)
+    z = crvz_zeta(alpha + 1, w / c)  # zeta > 1, so c/zeta narrows the width
+    return RatInterval(c / z.hi, c / z.lo)
+
+
+@functools.cache
+def _oracle_bracket(alpha: int, bits: int) -> RatInterval:
+    return oracle_threshold(alpha, Fraction(1, 2**bits))
+
+
+def oracle_side(q, alpha: int) -> Ordering3:
+    """Certified side of q against the alpha threshold, by the oracles alone.
+
+    Starts at width 2^-100 (about 8e-31) and halves the cached oracle width
+    until ``compare`` decides; q is rational and the threshold irrational, so
+    some width does.
+    """
+    bits = 100
+    while True:
+        side = compare(q, _oracle_bracket(alpha, bits))
+        if side is not Ordering3.INDETERMINATE:
+            return side
+        bits += 1

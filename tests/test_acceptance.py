@@ -12,11 +12,12 @@ from pathlib import Path
 
 from opnlab.abundancy import geometric_split_check, sigma_minus_one
 from opnlab.bound_tables import find_I, generate_table, rho, rho_limit
-from opnlab.constants import Precision, certified_compare, default_threshold, threshold_enclosure
+from opnlab.constants import Precision, threshold_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.exact_arith import Ordering3
 from opnlab.primes import Factorization, factorize, nth_prime, primes_window
 from opnlab.screener import Condition, Mode, full_screen, radical_screen
+from oracles import oracle_side
 
 GOLDEN = Path(__file__).parent / "golden" / "table_m9_m20_alpha1.csv"
 
@@ -105,7 +106,6 @@ def test_criterion_6_monotonicity_and_search_oracle():
     t0 = time.monotonic()
     prefixes = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(8, 5)}
     for k in (1, 2, 3):
-        theta = default_threshold(1)
         for m in range(9, 31):
             # oracle: plain linear scan over directly-computed window products
             r = 2
@@ -117,29 +117,24 @@ def test_criterion_6_monotonicity_and_search_oracle():
                 if previous is not None:
                     assert value < previous, "window product must strictly decrease"
                 previous = value
-                side, theta = certified_compare(value, theta)
-                if side is Ordering3.BELOW:
+                if oracle_side(value, 1) is Ordering3.BELOW:
                     break
                 r += 1
             assert find_I(k, m) == r
 
-            side_at, theta = certified_compare(rho(k, m, r), theta)
-            side_before, theta = certified_compare(rho(k, m, r - 1), theta)
-            assert side_at is Ordering3.BELOW
-            assert side_before is Ordering3.ABOVE
+            assert oracle_side(rho(k, m, r), 1) is Ordering3.BELOW
+            assert oracle_side(rho(k, m, r - 1), 1) is Ordering3.ABOVE
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
 
     # large-m spot check: the same linear scan at m = 60
     for k in (1, 2, 3):
-        theta = default_threshold(1)
         r = 2
         while True:
             value = prefixes[k]
             for p in primes_window(r, 60 - k + 1):
                 value *= 1 + Fraction(1, p)
-            side, theta = certified_compare(value, theta)
-            if side is Ordering3.BELOW:
+            if oracle_side(value, 1) is Ordering3.BELOW:
                 break
             r += 1
         assert find_I(k, 60) == r
@@ -149,8 +144,7 @@ def test_criterion_6_monotonicity_and_search_oracle():
 def test_criterion_7_k4_limitation():
     prefix = Fraction(4, 3) * Fraction(6, 5) * Fraction(8, 7)
     assert prefix == Fraction(64, 35)
-    side, _ = certified_compare(prefix, default_threshold(1))
-    assert side is Ordering3.ABOVE
+    assert oracle_side(prefix, 1) is Ordering3.ABOVE
     try:
         find_I(4, 20)
     except InvalidArgument:

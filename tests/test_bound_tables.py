@@ -13,10 +13,11 @@ from opnlab.bound_tables import (
     rho,
     rho_limit,
 )
-from opnlab.constants import certified_compare, decide, default_threshold
+from opnlab.constants import decide
 from opnlab.errors import InvalidArgument, ResourceLimit
 from opnlab.exact_arith import Ordering3
 from opnlab.primes import DEFAULT_PRIME_CAP, is_prime, nth_prime, primes_window, set_prime_cap
+from oracles import oracle_side
 
 # reference table: the three prime bounds for m = 9..20 at alpha = 1
 REFERENCE_ROWS = {
@@ -46,13 +47,10 @@ def rho_oracle(k, m, r, alpha=1):
 
 
 def naive_scan(k, m, alpha=1):
-    theta = default_threshold(alpha)
     r = 2
-    while True:
-        side, theta = certified_compare(rho_oracle(k, m, r, alpha), theta)
-        if side is Ordering3.BELOW:
-            return r
+    while oracle_side(rho_oracle(k, m, r, alpha), alpha) is not Ordering3.BELOW:
         r += 1
+    return r
 
 
 def test_rho_validation():
@@ -188,11 +186,8 @@ def test_find_raises_resource_limit_where_the_scan_does():
 def test_find_certified_sidedness():
     for k in (1, 2, 3):
         r_star = find_I(k, 9)
-        theta = default_threshold(1)
-        side_at, theta = certified_compare(rho(k, 9, r_star), theta)
-        side_before, theta = certified_compare(rho(k, 9, r_star - 1), theta)
-        assert side_at is Ordering3.BELOW
-        assert side_before is Ordering3.ABOVE
+        assert oracle_side(rho(k, 9, r_star), 1) is Ordering3.BELOW
+        assert oracle_side(rho(k, 9, r_star - 1), 1) is Ordering3.ABOVE
 
 
 def test_every_prefix_is_below_every_threshold():

@@ -14,16 +14,14 @@ from opnlab.constants import (
     DEFAULT_WIDTH,
     Precision,
     Threshold,
-    certified_compare,
     decide,
-    default_threshold,
     pi_enclosure,
-    refine,
     threshold_enclosure,
     zeta_enclosure,
 )
 from opnlab.errors import InvalidArgument, PrecisionCapExceeded
 from opnlab.exact_arith import Ordering3, RatInterval, compare
+from oracles import crvz_zeta, dirichlet_zeta, machin_pi, oracle_side, oracle_threshold
 
 # published 50-digit value, used in tests only as an independent check
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
@@ -34,73 +32,6 @@ ALPHA2_REF = Fraction("1.901502566")
 
 def width(x) -> Fraction:
     return Fraction(x) if not isinstance(x, Fraction) else x
-
-
-# --- reference oracles, exact Fraction arithmetic, independent of the library
-
-
-def dirichlet_zeta(s: int, n: int) -> RatInterval:
-    """zeta(s) between the partial sum to n plus the two integral tail bounds
-
-    (n+1)^(1-s)/(s-1) <= sum_{k>n} k^(-s) <= n^(1-s)/(s-1).
-    """
-
-    def partial(lo, hi):
-        # pairwise split keeps intermediate denominators near lcm scale
-        if lo == hi:
-            return Fraction(1, lo**s)
-        mid = (lo + hi) // 2
-        return partial(lo, mid) + partial(mid + 1, hi)
-
-    total = partial(1, n)
-    return RatInterval(
-        total + Fraction(1, (s - 1) * (n + 1) ** (s - 1)),
-        total + Fraction(1, (s - 1) * n ** (s - 1)),
-    )
-
-
-def machin_pi(w: Fraction) -> RatInterval:
-    """pi = 16 atan(1/5) - 4 atan(1/239), each alternating series stopped at
-    its first term below w/32 (resp. w/8), which bounds its tail."""
-
-    def atan_inv(x, max_err):
-        total, k = Fraction(0), 0
-        while True:
-            term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-            if term <= max_err:
-                return (total, total + term) if k % 2 == 0 else (total - term, total)
-            total += term if k % 2 == 0 else -term
-            k += 1
-
-    a_lo, a_hi = atan_inv(5, w / 32)
-    b_lo, b_hi = atan_inv(239, w / 8)
-    return RatInterval(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo)
-
-
-def crvz_zeta(s: int, w: Fraction) -> RatInterval:
-    """zeta(s) = eta(s) / (1 - 2^(1-s)), eta by Algorithm 1 of Cohen, Rodriguez
-    Villegas and Zagier in exact Fractions; |eta - S_n| <= eta / d_n < 1 / d_n."""
-    factor = 1 / (1 - Fraction(1, 2 ** (s - 1)))
-    n, d_prev, d = 1, 1, 3
-    while 2 * factor / d > w:
-        n, d_prev, d = n + 1, d, 6 * d - d_prev
-    b, c, total = Fraction(-1), Fraction(-d), Fraction(0)
-    for k in range(n):
-        c = b - c
-        total += c / (k + 1) ** s
-        b = b * (k + n) * (k - n) / (Fraction(2 * k + 1, 2) * (k + 1))
-    eta = total / d
-    return RatInterval((eta - Fraction(1, d)) * factor, (eta + Fraction(1, d)) * factor)
-
-
-def oracle_threshold(alpha: int, w: Fraction) -> RatInterval:
-    """Bracket of 2^(a+2) / (zeta(a+1) (2^(a+1)-1)) of width <= w."""
-    if alpha == 1:  # 16 / pi^2; 16/x^2 stretches widths near pi by < 1.04
-        p = machin_pi(w / 2)
-        return RatInterval(16 / p.hi**2, 16 / p.lo**2)
-    c = Fraction(2 ** (alpha + 2), 2 ** (alpha + 1) - 1)
-    z = crvz_zeta(alpha + 1, w / c)  # zeta > 1, so c/zeta narrows the width
-    return RatInterval(c / z.hi, c / z.lo)
 
 
 def test_precision_validation():
@@ -156,6 +87,7 @@ def test_zeta_thresholds_reach_default_width_quickly():
     z2 = zeta_enclosure(2, Precision(DEFAULT_WIDTH))
     assert z2.width() <= DEFAULT_WIDTH
     assert z2.encloses(crvz_zeta(2, DEFAULT_WIDTH / 10**6))
+    constants._bracket.cache_clear()  # time the builds, not the memo
     start = time.perf_counter()
     for alpha in range(2, 7):
         assert threshold_enclosure(alpha, DEFAULT_WIDTH).enclosure.width() <= DEFAULT_WIDTH
@@ -222,7 +154,7 @@ def test_threshold_reference_decimals():
 def test_threshold_refine_halves_and_nests():
     t = threshold_enclosure(1, Precision(Fraction(1, 10**8)))
     for _ in range(5):
-        r = refine(t)
+        r = threshold_enclosure(1, t.enclosure.width() / 2)
         assert r.enclosure.width() <= t.enclosure.width() / 2
         assert t.enclosure.encloses(r.enclosure)
         t = r
@@ -230,14 +162,14 @@ def test_threshold_refine_halves_and_nests():
     assert t.enclosure.contains(Fraction("1.62113893827740434310"))
 
     t2 = threshold_enclosure(2, Precision(Fraction(1, 10**8)))
-    r2 = refine(t2)
+    r2 = threshold_enclosure(2, t2.enclosure.width() / 2)
     assert r2.enclosure.width() <= t2.enclosure.width() / 2
     assert t2.enclosure.encloses(r2.enclosure)
 
 
 def test_refined_threshold_keeps_reference_decimal():
     t = threshold_enclosure(1, Precision(Fraction(1, 10**8)))
-    assert refine(t).enclosure.contains(ALPHA1_REF)
+    assert threshold_enclosure(1, t.enclosure.width() / 2).enclosure.contains(ALPHA1_REF)
 
 
 def test_thresholds_live_inside_unit_band():
@@ -271,6 +203,7 @@ def test_threshold_validation():
 
 def test_zeta_backed_threshold_reaches_1e_1000_quickly():
     w = Fraction(1, 10**1000)
+    constants._bracket.cache_clear()
     start = time.perf_counter()
     t = threshold_enclosure(2, w)
     assert time.perf_counter() - start < 1.0
@@ -283,8 +216,8 @@ def test_zeta_backed_threshold_reaches_1e_1000_quickly():
 
 
 def test_default_threshold_widths():
-    assert default_threshold(1).enclosure.width() <= DEFAULT_WIDTH
-    assert default_threshold(2).enclosure.width() <= Fraction(1, 10**9)
+    assert threshold_enclosure(1).enclosure.width() <= DEFAULT_WIDTH
+    assert threshold_enclosure(2).enclosure.width() <= Fraction(1, 10**9)
 
 
 def _dyadic_bits(q: Fraction) -> int:
@@ -296,7 +229,7 @@ def _dyadic_bits(q: Fraction) -> int:
 def test_comparison_brackets_are_short_dyadic_and_sound():
     for alpha in range(1, 13):
         target = DEFAULT_WIDTH
-        t, prev = default_threshold(alpha), None
+        t, prev = threshold_enclosure(alpha), None
         for _ in range(6):
             iv = t.enclosure
             w = iv.width()
@@ -310,108 +243,89 @@ def test_comparison_brackets_are_short_dyadic_and_sound():
             # rounded outward from the symmetric enclosure at 3/4 of the target
             assert iv.encloses(threshold_enclosure(alpha, Precision(target * 3 / 4)).enclosure)
             assert iv.encloses(threshold_enclosure(alpha, Precision(w / 100)).enclosure)
-            t, prev, target = refine(t), iv, w / 2
+            t, prev, target = threshold_enclosure(alpha, w / 2), iv, w / 2
 
 
 def test_certified_compare_decides_near_misses():
-    # the midpoint of an enclosure is within a hair of the constant; the
-    # comparison must still come back decided after refinement
+    # the midpoint of the default bracket is within a hair of the constant,
+    # so that bracket cannot decide it; decide must still come back decided
     for alpha in (1, 2):
-        t = threshold_enclosure(alpha, Precision(Fraction(1, 10**8)))
+        t = threshold_enclosure(alpha)
         q = t.enclosure.midpoint()
-        side, refined = certified_compare(q, t)
+        assert compare(q, t.enclosure) is Ordering3.INDETERMINATE
+        side = decide(q.numerator, q.denominator, alpha)
         assert side in (Ordering3.BELOW, Ordering3.ABOVE)
-        assert refined.enclosure.width() < t.enclosure.width()
-        # the refined bracket certifies the answer
-        if side is Ordering3.BELOW:
-            assert q < refined.enclosure.lo
-        else:
-            assert q > refined.enclosure.hi
+        assert side is oracle_side(q, alpha)
 
 
 def test_certified_compare_fast_path():
-    t = threshold_enclosure(1, Precision(Fraction(1, 10**8)))
-    side, same = certified_compare(Fraction(3, 2), t)
-    assert side is Ordering3.BELOW
-    assert same is t
-    side, same = certified_compare(Fraction(64, 35), t)
-    assert side is Ordering3.ABOVE
-    assert same is t
+    # a value the default bracket decides costs no new bracket
+    threshold_enclosure(1)
+    misses = constants._bracket.cache_info().misses
+    assert decide(3, 2, 1) is Ordering3.BELOW
+    assert decide(64, 35, 1) is Ordering3.ABOVE
+    assert constants._bracket.cache_info().misses == misses
 
 
-@pytest.fixture
-def empty_store(monkeypatch):
-    store = {}
-    monkeypatch.setattr(constants, "_tightest", store)
-    return store
-
-
-def _near_miss(store, alpha):
-    # a point a quarter width inside the current bracket, so decide must
-    # refine; it sits at least 3/16 of the width from the constant (the
-    # midpoint is within 1/16), so two halvings decide it
-    iv = (store.get(alpha) or default_threshold(alpha)).enclosure
-    q = iv.midpoint() + iv.width() / 4
-    decide(q.numerator, q.denominator, alpha)
-
-
-def test_store_keeps_one_narrowing_bracket_per_alpha(empty_store):
-    for alpha in (1, 2):
-        widths = []
-        for _ in range(4):
-            _near_miss(empty_store, alpha)
-            widths.append(empty_store[alpha].enclosure.width())
-        assert all(b < a for a, b in zip(widths, widths[1:]))
-        # decided by the stored bracket at once: the store is left alone
-        assert decide(3, 2, alpha) is Ordering3.BELOW
-        assert decide(2, 1, alpha) is Ordering3.ABOVE
-        assert empty_store[alpha].enclosure.width() == widths[-1]
-    assert sorted(empty_store) == [1, 2]
-
-
-def test_threshold_enclosure_ignores_the_store(empty_store):
-    w = Fraction(1, 10**10)
-    before = threshold_enclosure(2, w).enclosure
-    while 2 not in empty_store or empty_store[2].enclosure.width() >= w / 100:
-        _near_miss(empty_store, 2)
-    after = threshold_enclosure(2, w).enclosure
-    assert (after.lo, after.hi) == (before.lo, before.hi)
-
-
-def test_store_never_loses_its_tightest_bracket_across_threads(empty_store, monkeypatch):
-    reached = []
-
-    def recording(num, den, t, _real=constants._decided):
-        side, refined = _real(num, den, t)
-        reached.append(refined.enclosure.width())
-        return side, refined
-
-    monkeypatch.setattr(constants, "_decided", recording)
+def test_decide_agrees_with_the_oracle_across_threads():
     mid = threshold_enclosure(1, Fraction(1, 10**60)).enclosure.midpoint()
-    # near misses at many distances, so threads refine to different widths
+    # near misses at many distances, so threads need brackets of different widths
     misses = [mid + sign * Fraction(1, 10**j) for j in range(31, 51) for sign in (1, -1)]
+    expected = [oracle_side(q, 1) for q in misses]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            empty_store.clear()
-            reached.clear()
-            workers = [
-                threading.Thread(
-                    target=lambda qs=misses[i::8]: [
-                        decide(q.numerator, q.denominator, 1) for q in qs
-                    ]
-                )
-                for i in range(8)
-            ]
+            constants._bracket.cache_clear()
+            answers = [None] * len(misses)
+
+            def work(start):
+                for i in range(start, len(misses), 8):
+                    answers[i] = decide(misses[i].numerator, misses[i].denominator, 1)
+
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
             for w in workers:
                 w.start()
             for w in workers:
                 w.join(timeout=60)
             assert not any(w.is_alive() for w in workers)
-            assert empty_store[1].enclosure.width() == min(reached)
+            assert answers == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@functools.cache
+def _near(alpha):
+    # a dyadic rational within 2^-150 of the constant
+    mid = oracle_threshold(alpha, Fraction(1, 2**160)).midpoint()
+    return Fraction(round(mid * 2**150), 2**150)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.integers(40, 150),
+    bits=st.integers(80, 140),
+    offset=st.integers(-16, 16).filter(bool),
+)
+def test_decide_agrees_with_the_oracle_at_large_alpha(alpha, bits, offset):
+    # the constant is about 2 - 2 * 3^-(alpha+1): from alpha 64 on, the
+    # default bracket holds 2 too, so it does not lie inside (1, 2)
+    q = _near(alpha) + Fraction(offset, 2**bits)
+    assert decide(q.numerator, q.denominator, alpha) is oracle_side(q, alpha)
+
+
+def test_a_near_miss_builds_few_brackets():
+    # decide doubles the bracket's bits: from 101, five brackets reach 1616
+    # bits, past the 997 that 1e-300 needs; one bit per step would take ~900
+    for alpha in (1, 2):
+        c = threshold_enclosure(alpha, Fraction(1, 10**400)).enclosure.midpoint()
+        fine = oracle_threshold(alpha, Fraction(1, 10**310))
+        d = Fraction(1, 10**300)
+        for q, side in ((c - d, Ordering3.BELOW), (c + d, Ordering3.ABOVE)):
+            constants._bracket.cache_clear()
+            assert decide(q.numerator, q.denominator, alpha) is side
+            assert constants._bracket.cache_info().misses <= 5
+            assert compare(q, fine) is side
 
 
 # fine enough to decide every offset the property below draws (>= 1e-10)
@@ -440,7 +354,7 @@ def test_decide_agrees_with_a_fine_enclosure(alpha, offset, g):
     assert decide(q.numerator * g, q.denominator * g, alpha) is expected
 
 
-def test_decide_near_the_alpha2_constant_gets_a_verdict(empty_store):
+def test_decide_near_the_alpha2_constant_gets_a_verdict():
     # within 1e-16 of 16/(7 zeta(3)) the Dirichlet bracket ran into the
     # series cap; every point here must now be decided
     c = threshold_enclosure(2, Fraction(1, 10**60)).enclosure.midpoint()
@@ -471,4 +385,4 @@ def test_threshold_brackets_are_dyadic_nested_and_centred(alpha, exponent, manti
             assert prev.encloses(iv)
         ref = oracle_threshold(alpha, w / 1000)
         assert iv.lo + w / 4 <= ref.lo and ref.hi <= iv.hi - w / 4
-        t, prev, target = refine(t), iv, w / 2
+        t, prev, target = threshold_enclosure(alpha, w / 2), iv, w / 2
