@@ -108,7 +108,7 @@ def geometric_split_check(p: int, h: int, alpha: int) -> bool:
     rather than through any closed form, so the check is independent of the
     geometric identities used elsewhere.
     """
-    h, alpha = as_index(h, "h"), as_index(alpha, "alpha")
+    p, h, alpha = as_index(p, "p"), as_index(h, "h"), as_index(alpha, "alpha")
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not prime")
     if h < 0 or alpha < 1:

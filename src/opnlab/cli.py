@@ -81,7 +81,7 @@ def parse_factorization(text: str) -> Factorization:
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty factorization")
-    if compact.isdigit():
+    if compact.isdecimal():
         return factorize(int(compact))
     pairs = []
     for part in compact.split("*"):

@@ -10,7 +10,8 @@ class InvalidArgument(OpnlabError):
 
 
 class ResourceLimit(OpnlabError):
-    """A computation exceeded the configured sieve cap or trial-division budget."""
+    """A computation exceeded the sieve cap, the trial-division budget, or the
+    range psi_13 within which a prime can be proven."""
 
 
 class PrecisionCapExceeded(OpnlabError):

@@ -1,16 +1,16 @@
 """Prime generation, primality testing, and desk-scale factorization.
 
 A single growable segmented sieve backs the indexed prime stream
-(``nth_prime``, ``primes_window``).  ``is_prime`` proves its answer in four
-tiers.  Up to the sieve's limit it looks n up.  Above it, one gcd with the
-product of the primes up to 1024 that every sieve starts with finds any
-factor up to 1024; below (1024 + 1)**2 = 1,050,625 no such factor proves n
-prime.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a
-witness ladder: n below psi_k, the least strong pseudoprime to the first k
-prime bases, is decided by those k bases alone.  Past psi_13 a failed
-13-base strong test proves n composite, and a pass is proven prime by trial
-division within the sieve budget.  No probabilistic answers are ever
-returned.  Every public entry point takes integers only
+(``nth_prime``, ``primes_window``) and ``factorize``'s trial primes.
+``is_prime`` depends on n alone and never reads the sieve; it proves its
+answer in three tiers.  Up to 1024 it looks n up among the 172 primes up to
+1024.  Above it, one gcd with their product finds any factor up to 1024;
+below (1024 + 1)**2 = 1,050,625 no such factor proves n prime.  Up to
+psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a witness ladder: n
+below psi_k, the least strong pseudoprime to the first k prime bases, is
+decided by those k bases alone.  Past psi_13 a failed 13-base strong test
+proves n composite, and a pass raises ResourceLimit.  No probabilistic
+answers are ever returned.  Every public entry point takes integers only
 (``operator.index``); anything else raises InvalidArgument naming the
 argument.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
@@ -68,7 +68,8 @@ def _simple_sieve(limit: int) -> list[int]:
 # (_START_LIMIT + 1)**2 has a prime factor <= _START_LIMIT, so below that
 # bound a gcd of 1 proves n prime.
 _START_LIMIT = 1024
-_START_PRIMORIAL = math.prod(_simple_sieve(_START_LIMIT))
+_START_PRIMES = frozenset(_simple_sieve(_START_LIMIT))
+_START_PRIMORIAL = math.prod(_START_PRIMES)
 _GCD_BOUND = (_START_LIMIT + 1) ** 2
 
 
@@ -126,11 +127,6 @@ class _Sieve:
                 est = int(kk * (math.log(kk) + math.log(math.log(kk)))) + 16
                 self.ensure_limit(max(est, 2 * self._limit))
 
-    def contains(self, n: int) -> bool:
-        """Membership for n <= limit (caller must check the range)."""
-        i = bisect_left(self._primes, n)
-        return i < len(self._primes) and self._primes[i] == n
-
 
 _default_sieve = _Sieve()
 _sieve_swap_lock = threading.Lock()
@@ -173,24 +169,18 @@ def _miller_rabin(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; never probabilistic.
+    """Deterministic primality test of n alone; never probabilistic.
 
-    Four tiers: a sieve lookup up to the sieve's limit; above it, one gcd
-    with the product of the primes up to 1024, which decides n below
-    (1024 + 1)**2 = 1,050,625; then Miller-Rabin with the bases the witness
-    ladder gives n's size (2 below 1,373,653, all 13 from psi_12 to psi_13
-    = 3.3e24); past psi_13, the 13-base strong test, whose failure proves n
-    composite, then trial division.  Raises ResourceLimit only for inputs
-    beyond psi_13 that pass the strong test and whose certification would
-    exceed the trial-division budget.
+    Three tiers: membership among the primes up to 1024; one gcd with their
+    product, which decides n below (1024 + 1)**2 = 1,050,625; then
+    Miller-Rabin with the bases the witness ladder gives n's size (2 below
+    1,373,653, all 13 from psi_12 to psi_13 = 3.3e24).  Past psi_13 a failed
+    13-base strong test proves n composite; a pass raises ResourceLimit.
     """
     if type(n) is not int:  # hot path: plain ints skip the call
         n = as_index(n, "n")
-    if n < 2:
-        return False
-    sieve = _default_sieve
-    if n <= sieve.limit:
-        return sieve.contains(n)
+    if n <= _START_LIMIT:
+        return n in _START_PRIMES
     if math.gcd(n, _START_PRIMORIAL) != 1:
         return False
     if n < _GCD_BOUND:
@@ -199,21 +189,10 @@ def is_prime(n: int) -> bool:
         return False
     if n < _MR_BOUND:
         return True
-    # gigantic probable prime: certify by trial division, budget = sieve cap
-    root = math.isqrt(n)
-    idx = 0
-    while True:
-        if idx >= sieve.cap:
-            raise ResourceLimit(
-                f"primality of {n} needs trial division past the cap of {sieve.cap} primes"
-            )
-        sieve.ensure_count(idx + 1)
-        p = sieve.primes[idx]
-        if p > root:
-            return True
-        if n % p == 0:
-            return False
-        idx += 1
+    raise ResourceLimit(
+        f"{n} passes all 13 strong bases but is not below psi_13 = {_MR_BOUND}, "
+        "so its primality cannot be proven"
+    )
 
 
 def nth_prime(k: int) -> int:
@@ -333,7 +312,7 @@ def factorize(n: int) -> Factorization:
             pairs.append((p, e))
             if residual == 1:
                 break
-            if residual > sieve.limit and is_prime(residual):
+            if is_prime(residual):
                 pairs.append((residual, 1))
                 break
         idx += 1

@@ -145,6 +145,8 @@ def test_geometric_split_validation():
         geometric_split_check(3, -1, 1)
     with pytest.raises(InvalidArgument):
         geometric_split_check(3, 2, 0)
+    with pytest.raises(InvalidArgument, match="^p must be an integer"):
+        geometric_split_check(3.0, 2, 1)
     with pytest.raises(InvalidArgument, match="^h must be an integer"):
         geometric_split_check(3, 2.0, 1)
     with pytest.raises(InvalidArgument, match="^alpha must be an integer"):

@@ -344,7 +344,14 @@ def test_internal_error_exits_2_not_refuted(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("0^2", "0 is not prime"), ("1^5*3", "1 is not prime"), ("3*3", "duplicate prime 3")],
+    [
+        ("0^2", "0 is not prime"),
+        ("1^5*3", "1 is not prime"),
+        ("3*3", "duplicate prime 3"),
+        # str.isdigit() accepts a superscript two, which int() rejects
+        ("\u00b2", "cannot parse factor '\u00b2'"),
+        ("3\u00b2", "cannot parse factor '3\u00b2'"),
+    ],
 )
 def test_sigma_factorization_errors_name_the_fault(text, message, capsys):
     assert main(["sigma", text]) == 2

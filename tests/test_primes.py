@@ -237,7 +237,7 @@ GCD_BOUND = 1025**2  # every composite below it has a prime factor <= 1024
 
 
 def test_is_prime_agrees_with_sieve_oracle_on_a_fresh_sieve():
-    # a fresh sieve stops at 1024, so every n above it takes the gcd tier
+    # every n above 1024 takes the gcd tier, and the sieve stays at 1024
     limit = 1_060_000
     flags = sieve_flags(limit)
     set_prime_cap(DEFAULT_PRIME_CAP)
@@ -272,17 +272,35 @@ def test_is_prime_across_the_gcd_bound_on_a_fresh_sieve(n, expected):
 
 
 def test_strong_test_rejects_composites_past_psi_13():
-    # under a cap of 10 primes, reaching trial division raises at once
-    set_prime_cap(10)
+    set_prime_cap(DEFAULT_PRIME_CAP)  # a fresh sieve at the default cap
+    n = (2**61 - 1) * (2**31 - 1)
+    assert n > PSI[-1] and math.gcd(n, math.prod(range(1, 1025))) == 1
+    assert not is_prime(n)
+    assert not is_prime(PSI[-1] * 1031)
+    # psi_13 passes all 13 bases, and a prime passes them all too
+    for n in (PSI[-1], 2**89 - 1, 2**107 - 1, 2**127 - 1):
+        with pytest.raises(ResourceLimit, match="psi_13"):
+            is_prime(n)
+    assert len(primes._default_sieve.primes) == 172
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["cap_1", "grown_past_1e6"])
+def test_is_prime_does_not_depend_on_the_sieve(grown):
+    set_prime_cap(DEFAULT_PRIME_CAP if grown else 1)
+    if grown:
+        nth_prime(78498)  # the last prime below 10^6
+    sieve = primes._default_sieve
+    state = sieve.limit, len(sieve.primes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_psi(2**22), log_uniform(1, 2**22)))
+    def agrees_with_trial_division(n):
+        assert is_prime(n) == prime_by_trial_division(n)
+        assert primes._default_sieve is sieve
+        assert (sieve.limit, len(sieve.primes)) == state
+
     try:
-        n = (2**61 - 1) * (2**31 - 1)
-        assert n > PSI[-1] and math.gcd(n, math.prod(range(1, 1025))) == 1
-        assert not is_prime(n)
-        assert not is_prime(PSI[-1] * 1031)
-        # psi_13 passes all 13 bases, and a prime passes them all too
-        for n in (PSI[-1], 2**89 - 1):
-            with pytest.raises(ResourceLimit):
-                is_prime(n)
+        agrees_with_trial_division()
     finally:
         set_prime_cap(DEFAULT_PRIME_CAP)
 
