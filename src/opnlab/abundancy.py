@@ -17,7 +17,7 @@ from operator import index
 
 from .errors import InvalidArgument
 from .exact_arith import as_index
-from .primes import Factorization, is_prime
+from .primes import Factorization, _first_nonprime, is_prime
 
 
 class Classification(enum.Enum):
@@ -72,9 +72,9 @@ def _check_prime_set(primes) -> tuple[int, ...]:
     for a, b in zip(ps, ps[1:]):
         if a == b:
             raise InvalidArgument(f"duplicate prime {a}")
-    for p in ps:
-        if not is_prime(p):
-            raise InvalidArgument(f"{p} is not prime")
+    bad = _first_nonprime(ps)
+    if bad is not None:
+        raise InvalidArgument(f"{bad} is not prime")
     return ps
 
 

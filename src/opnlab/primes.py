@@ -9,7 +9,9 @@ below (1024 + 1)**2 = 1,050,625 no such factor proves n prime.  Up to
 psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a witness ladder: n
 below psi_k, the least strong pseudoprime to the first k prime bases, is
 decided by those k bases alone.  Past psi_13 a failed 13-base strong test
-proves n composite, and a pass raises ResourceLimit.  No probabilistic
+proves n composite, and a pass raises ResourceLimit.  A set of primes is
+proven by the same tiers on the whole set: one superset test and one gcd,
+then the ladder for its members from 1,050,625 on.  No probabilistic
 answers are ever returned.  Every public entry point takes integers only
 (``operator.index``); anything else raises InvalidArgument naming the
 argument.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
@@ -168,6 +170,18 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
+def _ladder(n: int) -> bool:
+    """is_prime's last tier, for n >= _GCD_BOUND with no factor up to 1024."""
+    if not _miller_rabin(n):
+        return False
+    if n < _MR_BOUND:
+        return True
+    raise ResourceLimit(
+        f"{n} passes all 13 strong bases but is not below psi_13 = {_MR_BOUND}, "
+        "so its primality cannot be proven"
+    )
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test of n alone; never probabilistic.
 
@@ -183,16 +197,26 @@ def is_prime(n: int) -> bool:
         return n in _START_PRIMES
     if math.gcd(n, _START_PRIMORIAL) != 1:
         return False
-    if n < _GCD_BOUND:
-        return True
-    if not _miller_rabin(n):
-        return False
-    if n < _MR_BOUND:
-        return True
-    raise ResourceLimit(
-        f"{n} passes all 13 strong bases but is not below psi_13 = {_MR_BOUND}, "
-        "so its primality cannot be proven"
-    )
+    return n < _GCD_BOUND or _ladder(n)
+
+
+def _first_nonprime(ps: tuple[int, ...]) -> int | None:
+    """The smallest member of the ascending ints ps that is not prime, or None.
+
+    is_prime's tiers, each on the whole set at once: one superset test of
+    the members up to 1024, one gcd of the product of the rest, then the
+    ladder from (1024 + 1)**2 on.  When a batch test fails, the members are
+    tested one by one in order, so the member named and any ResourceLimit
+    raised are those of is_prime on each member in turn.
+    """
+    small = bisect_right(ps, _START_LIMIT)
+    if (
+        _START_PRIMES.issuperset(ps[:small])
+        and math.gcd(math.prod(ps[small:]), _START_PRIMORIAL) == 1
+        and all(map(_ladder, ps[bisect_left(ps, _GCD_BOUND, small) :]))
+    ):
+        return None
+    return next((p for p in ps if not is_prime(p)), None)
 
 
 def nth_prime(k: int) -> int:

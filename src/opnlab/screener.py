@@ -17,10 +17,9 @@ Each product is an unreduced integer pair (num, den) from
 ``abundancy._truncated_pair``, decided like the bound-table windows: the
 upper bound by num >= 2 * den, the threshold by ``constants.decide``, which
 cross-multiplies against a certified bracket, finer only if needed.  The
-alpha = 2 screen builds the all-even pair once and decides each
-special-prime case on it by an exact factor swap, multiplying in
-q(q+1) / (q^2+q+1), so a set of k primes costs k multiplications by small
-integers rather than k rebuilt products.
+alpha = 2 screen builds the all-even pair once; each special-prime case
+is that pair times q(q+1) / (q^2+q+1), and at most one of them is ever
+compared (see ``_screen_alpha2_combined``).
 
 The upper test num >= 2 * den also refutes a product of exactly 2.  In
 alpha = 2 case 1 that product is sigma(n)/n itself when q has exponent 1
@@ -181,13 +180,9 @@ def _screen_alpha1(ps) -> ScreenVerdict:
     return ScreenVerdict(Outcome.VIOLATES, condition, Fraction(num, den))
 
 
-def _outside_alpha2_bounds(num: int, den: int) -> bool:
-    return num >= 2 * den or decide(num, den, 2) is Ordering3.BELOW
-
-
 def _screen_alpha2_case2(ps) -> ScreenVerdict:
     num, den = _truncated_pair(ps, 2)
-    if _outside_alpha2_bounds(num, den):
+    if num >= 2 * den or decide(num, den, 2) is Ordering3.BELOW:
         return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA2_CASE2, Fraction(num, den))
     return _CONSISTENT
 
@@ -195,25 +190,31 @@ def _screen_alpha2_case2(ps) -> ScreenVerdict:
 def _screen_alpha2_combined(ps) -> ScreenVerdict:
     """Refute only if the all-even case and every admissible special prime fail.
 
+    Case 1 for q is case 2 times q(q+1)/(q^2+q+1) = 1 - 1/(q^2+q+1), a factor
+    that grows with q and is at least 30/31 (q = 5).  Case 2 below the
+    threshold therefore puts every case 1 below it, and no case is tested.
+    Case 2 at or above 2 puts every case 1 at or above 60/31, which lies
+    above the threshold because zeta(3) > 1 + 1/8 + 1/27 + 1/64 + 1/125 >
+    496/420; so a case 1 survives exactly when it is below 2, and the
+    smallest q has the smallest case: one comparison decides them all.
     With no prime = 1 mod 4 in the set the special-prime case is impossible,
-    so the quantification over q is vacuously satisfied and the all-even case
-    alone decides.  The first surviving case ends the screen; case witnesses
-    are built only on a refutation.
+    and case 2 alone decides.  Case witnesses are built only on a refutation.
     """
     num, den = _truncated_pair(ps, 2)
-    if not _outside_alpha2_bounds(num, den):
-        return _CONSISTENT
-    specials = [q for q in ps if q % 4 == 1]
-    for q in specials:
-        # swap q's factor (q^2+q+1)/q^2 for (q+1)/q
-        if not _outside_alpha2_bounds(num * (q * (q + 1)), den * (q * q + q + 1)):
+    if num >= 2 * den:
+        q = next((q for q in ps if q % 4 == 1), None)
+        # swap the smallest q's factor (q^2+q+1)/q^2 for (q+1)/q
+        if q is not None and num * (q * (q + 1)) < 2 * den * (q * q + q + 1):
             return _CONSISTENT
+    elif decide(num, den, 2) is not Ordering3.BELOW:
+        return _CONSISTENT
     # reduce case 2 once and swap each case in as a small reduced fraction:
     # reducing each swapped pair would cost a big-by-big gcd per case
     case2 = Fraction(num, den)
     cases = [("case2", case2)]
-    for q in specials:
-        cases.append((f"case1[q={q}]", case2 * Fraction(q * (q + 1), q * q + q + 1)))
+    for q in ps:
+        if q % 4 == 1:
+            cases.append((f"case1[q={q}]", case2 * Fraction(q * (q + 1), q * q + q + 1)))
     condition = (
         Condition.TRIPLE_EXCLUSION_357
         if {3, 5, 7} <= set(ps)

@@ -6,12 +6,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opnlab import abundancy, primes, screener
+from opnlab.abundancy import truncated_product
 from opnlab.constants import Precision, threshold_enclosure
-from opnlab.errors import InvalidArgument
+from opnlab.errors import InvalidArgument, ResourceLimit
 from opnlab.exact_arith import Ordering3, compare
 from opnlab.primes import Factorization, factorize, primes_window
 from opnlab.screener import (
@@ -26,6 +27,7 @@ from opnlab.screener import (
     radical_screen,
     to_euler_form,
 )
+from oracles import oracle_side
 
 
 def alpha1_oracle(ps):
@@ -381,6 +383,14 @@ def _naive_verdict(ps, mode):
     return condition, case2, tuple(cases)
 
 
+# one set per way the combined alpha = 2 screen ends: case 2 below the
+# threshold with specials present; every case at or above 2; the smallest
+# special's case below 2, so it survives while larger specials' cases lie
+# above 2; case 2 at or above 2 with no special prime at all
+@example(ps={101, 103, 107, 109, 113}, mode=Mode.ALPHA2_CASE1)
+@example(ps={3, 5, 11, 13, 17, 19, 23, 29}, mode=Mode.ALPHA2_CASE1)
+@example(ps={3, 5, 13, 17}, mode=Mode.ALPHA2_CASE1)
+@example(ps={3, 7, 11, 19, 23}, mode=Mode.ALPHA2_CASE1)
 @settings(max_examples=150, deadline=None)
 @given(ps=_prime_sets, mode=st.sampled_from(list(Mode)))
 def test_every_mode_matches_naive_case_products(ps, mode):
@@ -389,6 +399,15 @@ def test_every_mode_matches_naive_case_products(ps, mode):
     v = radical_screen(ps, mode)
     assert (v.violated_condition, v.witness, v.case_witnesses) == expected
     assert v.violates == (expected[0] is not None)
+
+
+def test_no_special_case_is_below_the_threshold_once_case_2_reaches_2():
+    # case 1 is case 2 times q(q+1)/(q^2+q+1) >= 30/31, so with case 2 at or
+    # above 2 it is at least 60/31; a case 1 below 2 therefore always survives,
+    # and a mixed set whose largest case below 2 is refuted cannot exist
+    assert oracle_side(Fraction(60, 31), 2) is Ordering3.ABOVE
+    ps = [3, 5, 13, 17]
+    assert alpha2_oracle(ps) >= 2 > alpha2_oracle(ps, special=5) >= Fraction(60, 31)
 
 
 _RADICAL_LIMIT = 2 * 10**6
@@ -444,3 +463,88 @@ def test_radical_verdict_does_not_depend_on_how_its_primes_were_proven(ps):
     assert fresh.limit == 1024
     # equal outcome, condition, witness and case witnesses
     assert on_fresh == _screen_on(_grown_sieve(), ps)
+
+
+# primes from 1025^2 = 1,050,625 on, which only the Miller-Rabin ladder proves
+_LADDER_PRIMES = (1050631, 1999993, 2**31 - 1, 10**12 + 39, 2**61 - 1, 2**64 - 59)
+# non-primes for each tier: 0, 1 and 9 by the set lookup; 1013 * 1019 and
+# 1025^2 by the gcd; 1031 * 1033, psi_3 = 2251 * 11251, psi_5 = 6763 * 10627
+# * 29947 and 1000003 * 1000033, whose factors all pass 1024, by the ladder
+_NON_PRIMES = (
+    0,
+    1,
+    9,
+    1013 * 1019,
+    1025**2,
+    1031 * 1033,
+    25326001,
+    2152302898747,
+    1000003 * 1000033,
+)
+_SET_SCREENS = (
+    lambda ps: radical_screen(ps, Mode.ALPHA2_CASE1),
+    lambda ps: truncated_product(ps, 2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ps=st.sets(
+        st.one_of(
+            st.sampled_from(_ODD_PRIMES[:171]),  # the odd primes up to 1024
+            st.integers(0, 10**6).map(_log_uniform_prime),  # 3 .. 2e6, every tier
+            st.sampled_from(_LADDER_PRIMES),
+        ),
+        max_size=30,
+    ),
+    bad=st.sets(st.sampled_from(_NON_PRIMES), max_size=3),
+)
+def test_a_prime_set_names_its_smallest_non_prime(ps, bad):
+    members = list(ps | bad)
+    ordered = tuple(sorted(members))
+    per_member = next((p for p in ordered if not primes.is_prime(p)), None)
+    assert per_member == (min(bad) if bad else None)
+    assert primes._first_nonprime(ordered) == per_member
+    for screen in _SET_SCREENS:
+        if bad:
+            with pytest.raises(InvalidArgument, match=f"^{min(bad)} is not prime$"):
+                screen(members)
+        else:
+            screen(members)
+
+
+_M89 = 2**89 - 1  # a prime past psi_13, which no tier can prove
+
+
+@pytest.mark.parametrize(
+    "members, error, match",
+    [
+        # the smaller composite is named before the prime past psi_13
+        ((3, 1031 * 1033, _M89), InvalidArgument, f"^{1031 * 1033} is not prime$"),
+        ((3, 9, 5, _M89), InvalidArgument, "^9 is not prime$"),
+        # past psi_13 the prime is reached first, even when the gcd of the
+        # set fails on a larger member
+        ((3, 5, _M89), ResourceLimit, "psi_13"),
+        ((3, _M89, 3 * _M89), ResourceLimit, "psi_13"),
+        ((3, _M89, (2**61 - 1) * (2**31 - 1)), ResourceLimit, "psi_13"),
+    ],
+)
+def test_a_prime_past_psi_13_is_reached_in_member_order(members, error, match):
+    for screen in _SET_SCREENS:
+        with pytest.raises(error, match=match):
+            screen(list(reversed(members)))
+
+
+def test_a_prime_set_is_proven_without_testing_members_one_by_one(monkeypatch):
+    calls = []
+
+    def counting(n, _real=primes.is_prime):
+        calls.append(n)
+        return _real(n)
+
+    monkeypatch.setattr(primes, "is_prime", counting)
+    radical_screen([3, 5, 1031, 1033, *_LADDER_PRIMES])
+    assert calls == []
+    with pytest.raises(InvalidArgument, match="^1065023 is not prime$"):
+        radical_screen([3, 5, 1031 * 1033, *_LADDER_PRIMES])
+    assert calls  # a failed batch test falls back to one member at a time
