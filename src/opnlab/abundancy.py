@@ -81,8 +81,10 @@ def _check_prime_set(primes) -> tuple[int, ...]:
 def _truncated_pair(primes, h: int, num: int = 1, den: int = 1) -> tuple[int, int]:
     """Unreduced (num, den) of num/den * prod over primes of sum_{i=0..h} p^-i.
 
-    The one builder of truncated products; each factor is
-    (1 + p + ... + p^h) / p^h, and no gcd is taken.
+    Builds truncated products over arbitrary prime sets, such as the radical
+    screen's; each factor is (1 + p + ... + p^h) / p^h, and no gcd is taken.
+    Bound-table windows, over consecutive primes, give the same integers
+    from ``bound_tables``' per-alpha store of the factor numerators.
     """
     for p in primes:
         power = p**h

@@ -21,18 +21,28 @@ The window product also grows with m, so I(k, m) is nondecreasing in m and
 index, so a row then costs a few window products per column.
 
 Arguments are checked once, at the public entries.  A probe is the window
-product as an unreduced integer pair (num, den), prefix included, built by
-``abundancy._truncated_pair`` like the radical screen's products and decided
-like them by ``constants.decide``, which compares by cross-multiplication;
-only ``rho``, which shows the value, reduces it to a ``Fraction``.
+product as an unreduced integer pair (num, den), prefix included: num is
+the prefix numerator times the product of the factor numerators
+sigma_alpha(p) = (p^(alpha+1) - 1) / (p - 1) over the window, den the prefix
+denominator times (prod p)^alpha.  These are the integers
+``abundancy._truncated_pair`` builds for the radical screen, but the
+numerators come from a per-alpha store indexed like the prime stream, built
+once per prime rather than once per probe, so a probe is two C-level
+products.  The store doubles as the probed indices rise, within the sieve
+cap; a longer list replaces the old one whole, never extended in place, so
+concurrent searches share it safely; and it keeps the 8 alphas used most
+recently.  Each pair is decided like the radical screen's by
+``constants.decide``, which compares by cross-multiplication; only ``rho``,
+which shows the value, reduces it to a ``Fraction``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abundancy import _truncated_pair
 from .constants import decide
 from .errors import InvalidArgument
 from .exact_arith import Ordering3, as_index
@@ -72,9 +82,43 @@ def _checked(k, m, alpha) -> tuple[int, int, int]:
     return k, m, alpha
 
 
+@functools.lru_cache(maxsize=8)
+def _store(alpha: int) -> list[list[int]]:
+    """A one-slot cell holding the list sigma_alpha(p_1), sigma_alpha(p_2), ...
+
+    The list is never changed: a longer one is built and rebinds the slot,
+    so a concurrent reader holds either list, and both are correct.
+    """
+    return [[]]
+
+
+def _numerators(alpha: int, count: int) -> list[int]:
+    """The stored numerators for alpha, grown to hold at least ``count``."""
+    cell = _store(alpha)
+    sigmas = cell[0]
+    if len(sigmas) < count:
+        # double, within the cap, so a table's slowly rising probes rebuild
+        # the list O(log) times
+        size = max(count, min(2 * len(sigmas), prime_cap()))
+        new = primes_window(len(sigmas) + 1, size - len(sigmas))
+        sigmas = sigmas + [(p ** (alpha + 1) - 1) // (p - 1) for p in new]
+        cell[0] = sigmas
+    return sigmas
+
+
 def _window(k: int, m: int, r: int, alpha: int) -> tuple[int, int]:
-    """Unreduced (num, den) of the window product; arguments already checked."""
-    return _truncated_pair(primes_window(r, m - k + 1), alpha, *_PREFIX[k])
+    """Unreduced (num, den) of the window product; arguments already checked.
+
+    The same integers as ``abundancy._truncated_pair`` over the window with
+    the prefix as its start, with the numerators read from the store.
+    """
+    window = primes_window(r, m - k + 1)  # raises ResourceLimit past the cap
+    end = r + m - k
+    num, den = _PREFIX[k]
+    return (
+        num * math.prod(_numerators(alpha, end)[r - 1 : end]),
+        den * math.prod(window) ** alpha,
+    )
 
 
 def rho(k: int, m: int, r: int, alpha: int = 1) -> Fraction:

@@ -1,4 +1,5 @@
-"""Reference brackets of pi, zeta(s) and the screening thresholds.
+"""Reference brackets of pi, arctan(1/x), zeta(s) and the screening
+thresholds, and truncated prime products summed term by term.
 
 Exact ``Fraction`` arithmetic throughout, independent of the library: the
 library's own code is used only for ``RatInterval`` and the exact
@@ -31,22 +32,25 @@ def dirichlet_zeta(s: int, n: int) -> RatInterval:
     )
 
 
+def arctan_inv(x: int, w: Fraction) -> RatInterval:
+    """atan(1/x) for an integer x >= 2, its alternating series stopped at its
+    first term below w, which bounds the tail and the bracket's width."""
+    total, k = Fraction(0), 0
+    while True:
+        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
+        if term <= w:
+            if k % 2 == 0:
+                return RatInterval(total, total + term)
+            return RatInterval(total - term, total)
+        total += term if k % 2 == 0 else -term
+        k += 1
+
+
 def machin_pi(w: Fraction) -> RatInterval:
-    """pi = 16 atan(1/5) - 4 atan(1/239), each alternating series stopped at
-    its first term below w/32 (resp. w/8), which bounds its tail."""
-
-    def atan_inv(x, max_err):
-        total, k = Fraction(0), 0
-        while True:
-            term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-            if term <= max_err:
-                return (total, total + term) if k % 2 == 0 else (total - term, total)
-            total += term if k % 2 == 0 else -term
-            k += 1
-
-    a_lo, a_hi = atan_inv(5, w / 32)
-    b_lo, b_hi = atan_inv(239, w / 8)
-    return RatInterval(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo)
+    """pi = 16 atan(1/5) - 4 atan(1/239), each arctangent to w/32 (resp. w/8)."""
+    a = arctan_inv(5, w / 32)
+    b = arctan_inv(239, w / 8)
+    return RatInterval(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
 
 
 def crvz_zeta(s: int, w: Fraction) -> RatInterval:
@@ -93,3 +97,11 @@ def oracle_side(q, alpha: int) -> Ordering3:
         if side is not Ordering3.INDETERMINATE:
             return side
         bits += 1
+
+
+def truncated_product(primes, alpha: int, start=Fraction(1)) -> Fraction:
+    """start * prod over primes of sum_{i=0..alpha} p^-i, summed term by term."""
+    value = Fraction(start)
+    for p in primes:
+        value *= sum(Fraction(1, p**i) for i in range(alpha + 1))
+    return value

@@ -1,12 +1,17 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opnlab.abundancy import _truncated_pair
 from opnlab.bound_tables import (
     _PREFIX,
     BoundTableRow,
+    _store,
+    _window,
     find_I,
     generate_table,
     perisastri_bound,
@@ -17,7 +22,7 @@ from opnlab.constants import decide
 from opnlab.errors import InvalidArgument, ResourceLimit
 from opnlab.exact_arith import Ordering3
 from opnlab.primes import DEFAULT_PRIME_CAP, is_prime, nth_prime, primes_window, set_prime_cap
-from oracles import oracle_side
+from oracles import oracle_side, truncated_product
 
 # reference table: the three prime bounds for m = 9..20 at alpha = 1
 REFERENCE_ROWS = {
@@ -39,11 +44,7 @@ PREFIXES = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(8, 5)}
 
 
 def rho_oracle(k, m, r, alpha=1):
-    # direct product, summing the reciprocal powers the long way
-    value = PREFIXES[k]
-    for p in primes_window(r, m - k + 1):
-        value *= sum(Fraction(1, p**i) for i in range(alpha + 1))
-    return value
+    return truncated_product(primes_window(r, m - k + 1), alpha, PREFIXES[k])
 
 
 def naive_scan(k, m, alpha=1):
@@ -109,6 +110,78 @@ def test_rho_matches_oracle_on_grid():
             for r in (2, 5, 9, 311):
                 for alpha in (1, 2, 3):
                     assert rho(k, m, r, alpha) == rho_oracle(k, m, r, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    km=st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(min_value=k, max_value=60))
+    ),
+    r=st.integers(min_value=1, max_value=2000),
+    alpha=st.integers(min_value=1, max_value=4),
+    cold=st.booleans(),
+)
+def test_window_is_the_kernel_pair(km, r, alpha, cold):
+    # the store's numerators give _truncated_pair's integers, unreduced,
+    # whether it starts empty or already holds other indices
+    k, m = km
+    if cold:
+        _store.cache_clear()
+    pair = _window(k, m, r, alpha)
+    assert pair == _truncated_pair(primes_window(r, m - k + 1), alpha, *_PREFIX[k])
+    assert Fraction(*pair) == rho_oracle(k, m, r, alpha)
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+@pytest.mark.parametrize("k, m, alpha", [(1, 9, 1), (2, 20, 2), (3, 12, 3)])
+def test_windows_stop_exactly_at_the_prime_cap(k, m, alpha, cold):
+    # the window at I ends at prime #cap: it is in reach at that cap and one
+    # prime out of reach below it, whatever the store already holds
+    r = find_I(k, m, alpha)
+    value = rho(k, m, r, alpha)
+    cap = r + m - k
+    try:
+        set_prime_cap(cap)
+        if cold:
+            _store.cache_clear()
+        assert rho(k, m, r, alpha) == value
+        assert find_I(k, m, alpha) == r
+        set_prime_cap(cap - 1)
+        if cold:
+            _store.cache_clear()
+        with pytest.raises(ResourceLimit, match=f"prime #{cap} "):
+            rho(k, m, r, alpha)
+        with pytest.raises(ResourceLimit, match=f"prime #{cap} "):
+            find_I(k, m, alpha)
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
+
+
+def test_concurrent_tables_from_an_empty_store():
+    # four threads released together on an empty store race to grow it;
+    # a list extended in place from a stale length fails most rounds
+    alphas = (1, 2, 3)
+    serial = {alpha: generate_table(9, 60, alpha) for alpha in alphas}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            _store.cache_clear()
+            start, results = threading.Barrier(4), []
+
+            def run():
+                start.wait(timeout=30)
+                results.append({alpha: generate_table(9, 60, alpha) for alpha in alphas})
+
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_rho_limit_values():

@@ -21,7 +21,14 @@ from opnlab.constants import (
 )
 from opnlab.errors import InvalidArgument, PrecisionCapExceeded
 from opnlab.exact_arith import Ordering3, RatInterval, compare
-from oracles import crvz_zeta, dirichlet_zeta, machin_pi, oracle_side, oracle_threshold
+from oracles import (
+    arctan_inv,
+    crvz_zeta,
+    dirichlet_zeta,
+    machin_pi,
+    oracle_side,
+    oracle_threshold,
+)
 
 # published 50-digit value, used in tests only as an independent check
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
@@ -386,3 +393,34 @@ def test_threshold_brackets_are_dyadic_nested_and_centred(alpha, exponent, manti
         ref = oracle_threshold(alpha, w / 1000)
         assert iv.lo + w / 4 <= ref.lo and ref.hi <= iv.hi - w / 4
         t, prev, target = threshold_enclosure(alpha, w / 2), iv, w / 2
+
+
+# The scaled integer contracts every bracket rests on, checked directly:
+# _centred keeps 16 grid units of slack, so a bracket test alone misses a
+# contract rounded inward by one unit.  Each oracle bracket has width
+# 2^-(p+12), so it lies within 2^-12 units of x * 2^p.
+_CONTRACT_BITS = range(0, 161)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 7])
+def test_zeta_scaled_encloses_zeta(s):
+    for p in _CONTRACT_BITS:
+        lo, hi = constants._zeta_scaled(s, p)
+        ref = crvz_zeta(s, Fraction(1, 2 ** (p + 12)))
+        assert lo <= ref.lo * 2**p and ref.hi * 2**p <= hi and hi - lo <= 2, p
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4, 6])
+def test_threshold_scaled_encloses_the_threshold(alpha):
+    for p in _CONTRACT_BITS:
+        lo, hi = constants._threshold_scaled(alpha, p)
+        ref = oracle_threshold(alpha, Fraction(1, 2 ** (p + 12)))
+        assert lo <= ref.lo * 2**p and ref.hi * 2**p <= hi and hi - lo <= 4, p
+
+
+@pytest.mark.parametrize("x", [2, 5, 57, 239])
+def test_arctan_inv_scaled_encloses_the_arctangent(x):
+    for k in _CONTRACT_BITS:
+        v, e = constants._arctan_inv_scaled(x, k)
+        ref = arctan_inv(x, Fraction(1, 2 ** (k + 12)))
+        assert v - e < ref.lo * 2**k and ref.hi * 2**k < v + e, k
