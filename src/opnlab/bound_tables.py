@@ -25,15 +25,20 @@ product as an unreduced integer pair (num, den), prefix included: num is
 the prefix numerator times the product of the factor numerators
 sigma_alpha(p) = (p^(alpha+1) - 1) / (p - 1) over the window, den the prefix
 denominator times (prod p)^alpha.  These are the integers
-``abundancy._truncated_pair`` builds for the radical screen, but the
-numerators come from a per-alpha store indexed like the prime stream, built
-once per prime rather than once per probe, so a probe is two C-level
-products.  The store doubles as the probed indices rise, within the sieve
-cap; a longer list replaces the old one whole, never extended in place, so
-concurrent searches share it safely; and it keeps the 8 alphas used most
-recently.  Each pair is decided like the radical screen's by
-``constants.decide``, which compares by cross-multiplication; only ``rho``,
-which shows the value, reduces it to a ``Fraction``.
+``abundancy._truncated_pair`` builds for the radical screen, but both
+products read a per-alpha store indexed like the prime stream: the
+numerators sigma_alpha(p), built once per prime rather than once per probe,
+and the primes themselves, so a probe is two C-level products over two list
+slices.
+A probe takes no sieve lock: it compares its last index with the sieve cap
+and calls the sieve only to raise its ResourceLimit past the cap, or to
+grow the store.  The store doubles as the probed indices rise, within the
+cap; a longer pair of lists replaces the old one whole, never extended in
+place, so concurrent searches share it safely; and it keeps the 8 alphas
+used most recently.  Each pair is decided like the radical screen's by
+``constants.decide``, which compares it with the threshold bracket's grid
+integers by cross-multiplication; only ``rho``, which shows the value,
+reduces it to a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -83,42 +88,45 @@ def _checked(k, m, alpha) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _store(alpha: int) -> list[list[int]]:
-    """A one-slot cell holding the list sigma_alpha(p_1), sigma_alpha(p_2), ...
+def _store(alpha: int) -> list[tuple[list[int], list[int]]]:
+    """A one-slot cell holding the lists sigma_alpha(p_1), sigma_alpha(p_2), ...
+    and p_1, p_2, ..., of one length.
 
-    The list is never changed: a longer one is built and rebinds the slot,
-    so a concurrent reader holds either list, and both are correct.
+    Neither list is ever changed: a longer pair is built and rebinds the
+    slot, so a concurrent reader holds either pair, and both are correct.
     """
-    return [[]]
+    return [([], [])]
 
 
-def _numerators(alpha: int, count: int) -> list[int]:
-    """The stored numerators for alpha, grown to hold at least ``count``."""
+def _factors(alpha: int, count: int) -> tuple[list[int], list[int]]:
+    """The stored numerators and primes for alpha, grown to hold at least
+    ``count``, which must be within the sieve cap."""
     cell = _store(alpha)
-    sigmas = cell[0]
+    sigmas, primes = cell[0]
     if len(sigmas) < count:
         # double, within the cap, so a table's slowly rising probes rebuild
-        # the list O(log) times
+        # the lists O(log) times
         size = max(count, min(2 * len(sigmas), prime_cap()))
         new = primes_window(len(sigmas) + 1, size - len(sigmas))
         sigmas = sigmas + [(p ** (alpha + 1) - 1) // (p - 1) for p in new]
-        cell[0] = sigmas
-    return sigmas
+        primes = primes + new
+        cell[0] = sigmas, primes
+    return sigmas, primes
 
 
 def _window(k: int, m: int, r: int, alpha: int) -> tuple[int, int]:
     """Unreduced (num, den) of the window product; arguments already checked.
 
     The same integers as ``abundancy._truncated_pair`` over the window with
-    the prefix as its start, with the numerators read from the store.
+    the prefix as its start, read from the store: no sieve call, and so no
+    sieve lock, unless the store must grow.
     """
-    window = primes_window(r, m - k + 1)  # raises ResourceLimit past the cap
     end = r + m - k
+    if end > prime_cap():
+        nth_prime(end)  # the sieve's ResourceLimit, whatever the store holds
+    sigmas, primes = _factors(alpha, end)
     num, den = _PREFIX[k]
-    return (
-        num * math.prod(_numerators(alpha, end)[r - 1 : end]),
-        den * math.prod(window) ** alpha,
-    )
+    return num * math.prod(sigmas[r - 1 : end]), den * math.prod(primes[r - 1 : end]) ** alpha
 
 
 def rho(k: int, m: int, r: int, alpha: int = 1) -> Fraction:

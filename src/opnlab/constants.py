@@ -22,9 +22,14 @@ The enclosure functions are pure: each call computes its bracket from the
 series, so ``threshold_enclosure`` at a given width always returns the same
 endpoints.  The threshold brackets come from one builder, ``_bracket``,
 memoized in a bounded cache, so the radical screen and the bound tables
-compare against brackets built once per process.  ``decide`` takes an
-unreduced integer pair (num, den), so a compared value is never reduced by
-a gcd.
+compare against brackets built once per process.  Inside this module every
+bracket is a pair of integers on its own dyadic grid: ``_bracket(alpha, j)``
+is (lo, hi) on 2^-(j+4), and a threshold is composed from the integer
+outputs of the pi and zeta series, never from a ``Fraction``.  A
+``RatInterval`` is built only at the public entries ``pi_enclosure``,
+``zeta_enclosure`` and ``threshold_enclosure``.  ``decide`` takes an
+unreduced integer pair (num, den) and tests num * 2^(j+4) against lo * den
+and hi * den, so a compared value is never reduced by a gcd.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument, PrecisionCapExceeded
-from .exact_arith import Ordering3, RatInterval, _side, as_index, as_rational
+from .exact_arith import Ordering3, RatInterval, as_index, as_rational
 
 SERIES_TERM_CAP = 10**6
 DEFAULT_WIDTH = Fraction(1, 10**30)
@@ -79,8 +84,9 @@ def _check_terms(what: str, terms: int) -> None:
         raise PrecisionCapExceeded(f"{what} needs more than {SERIES_TERM_CAP} series terms")
 
 
-def _centred(scaled, j: int) -> RatInterval:
-    """Bracket mid +- 2^-j of a constant x, its ends on the grid 2^-(j+4).
+def _centred(scaled, j: int) -> tuple[int, int]:
+    """Bracket mid +- 2^-j of a constant x, as the integer ends
+    (mid - 16, mid + 16) on the grid 2^-(j+4).
 
     ``scaled(p)`` gives integers lo <= x * 2^p <= hi with hi - lo <= 4.  At
     p = j + 7 that encloses x to 2^-(j+5); its centre, floored to the grid,
@@ -89,8 +95,13 @@ def _centred(scaled, j: int) -> RatInterval:
     inside the one at j.
     """
     lo, hi = scaled(j + 7)
-    mid, grid = (lo + hi) >> 4, 1 << (j + 4)
-    return RatInterval(Fraction(mid - 16, grid), Fraction(mid + 16, grid))
+    mid = (lo + hi) >> 4
+    return mid - 16, mid + 16
+
+
+def _dyadic(lo: int, hi: int, bits: int) -> RatInterval:
+    """The bracket [lo, hi] / 2^bits, built at a public entry."""
+    return RatInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def _zeta_scaled(s: int, p: int) -> tuple[int, int]:
@@ -126,7 +137,8 @@ def zeta_enclosure(s: int, prec) -> RatInterval:
     s = as_index(s, "s")
     if s < 2:
         raise InvalidArgument(f"zeta enclosure needs integer s >= 2, got {s!r}")
-    return _centred(lambda p: _zeta_scaled(s, p), _target_bits(prec) + 1)
+    j = _target_bits(prec) + 1
+    return _dyadic(*_centred(functools.partial(_zeta_scaled, s), j), j + 4)
 
 
 def _arctan_inv_scaled(x: int, k: int) -> tuple[int, int]:
@@ -146,9 +158,8 @@ def _arctan_inv_scaled(x: int, k: int) -> tuple[int, int]:
     return total, i + 1
 
 
-def pi_enclosure(prec) -> RatInterval:
-    """Certified dyadic bracket of pi via Machin's formula, width <= the target."""
-    bits = _target_bits(prec)
+def _machin(bits: int) -> tuple[int, int, int]:
+    """(v, e, k) with |pi * 2^k - v| < e and 2e <= 2^(k - bits), by Machin's formula."""
     # the counted error 16*ea + 4*eb is below 4k + 30 units, as ea < k/4.6 + 2
     # and eb < k/15.8 + 2; these guard bits keep twice it below 2^(k - bits)
     k = bits + bits.bit_length() + 8
@@ -156,8 +167,13 @@ def pi_enclosure(prec) -> RatInterval:
     _check_terms(f"pi to {k} bits", k // 4 + 1)
     a, ea = _arctan_inv_scaled(5, k)
     b, eb = _arctan_inv_scaled(239, k)
-    v, e = 16 * a - 4 * b, 16 * ea + 4 * eb
-    return RatInterval(Fraction(v - e, 1 << k), Fraction(v + e, 1 << k))
+    return 16 * a - 4 * b, 16 * ea + 4 * eb, k
+
+
+def pi_enclosure(prec) -> RatInterval:
+    """Certified dyadic bracket of pi via Machin's formula, width <= the target."""
+    v, e, k = _machin(_target_bits(prec))
+    return _dyadic(v - e, v + e, k)
 
 
 def _threshold_scaled(alpha: int, p: int) -> tuple[int, int]:
@@ -166,23 +182,26 @@ def _threshold_scaled(alpha: int, p: int) -> tuple[int, int]:
     The threshold is n / (d * x^e) for x = pi (alpha 1) or zeta(alpha+1).
     Near pi, 16/x^2 stretches widths by 32/pi^3 < 1.04; for alpha >= 2,
     n/d <= 16/7 and zeta > 1, so n/(d x) stretches them by less than 2.3.
-    The brackets of x below keep the stretched width under one unit, and
-    the outward floor and ceiling add less than two.
+    The brackets [lo, hi] / 2^g of x below, pi to 2^-(p+1) and zeta(alpha+1)
+    to 2^-(p+2), keep the stretched width under one unit, and the outward
+    floor and ceiling add less than two.  They stay unreduced integers, so
+    threshold * 2^p lies in n 2^(p+g e) / (d [hi, lo]^e).
     """
     if alpha == 1:
-        x, n, d, e = pi_enclosure(Fraction(1, 2 ** (p + 1))), 16, 1, 2
+        v, err, g = _machin(p + 1)
+        lo, hi, n, d, e = v - err, v + err, 16, 1, 2
     else:
-        x = zeta_enclosure(alpha + 1, Fraction(1, 2 ** (p + 2)))
-        n, d, e = 2 ** (alpha + 2), 2 ** (alpha + 1) - 1, 1
-    lo = (n << p) * x.hi.denominator**e // (d * x.hi.numerator**e)
-    hi = -(-(n << p) * x.lo.denominator**e // (d * x.lo.numerator**e))
-    return lo, hi
+        lo, hi = _centred(functools.partial(_zeta_scaled, alpha + 1), p + 3)
+        g, n, d, e = p + 7, 2 ** (alpha + 2), 2 ** (alpha + 1) - 1, 1
+    top = n << (p + g * e)
+    return top // (d * hi**e), -(-top // (d * lo**e))
 
 
 @functools.lru_cache(maxsize=64)
-def _bracket(alpha: int, j: int) -> RatInterval:
-    """Threshold bracket mid +- 2^-j; a table or a screen asks for few (alpha, j)."""
-    return _centred(lambda p: _threshold_scaled(alpha, p), j)
+def _bracket(alpha: int, j: int) -> tuple[int, int]:
+    """Threshold bracket mid +- 2^-j as its integer ends on the grid
+    2^-(j+4); a table or a screen asks for few (alpha, j)."""
+    return _centred(functools.partial(_threshold_scaled, alpha), j)
 
 
 def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
@@ -197,9 +216,9 @@ def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
     j = _target_bits(prec) + 1
     while True:
-        iv = _bracket(alpha, j)
-        if iv.lo > 1 and iv.hi < 2:
-            return Threshold(alpha, iv)
+        lo, hi = _bracket(alpha, j)
+        if 1 << (j + 4) < lo and hi < 2 << (j + 4):
+            return Threshold(alpha, _dyadic(lo, hi, j + 4))
         j *= 2
 
 
@@ -219,7 +238,10 @@ def decide(num: int, den: int, alpha: int) -> Ordering3:
     """
     j = _DEFAULT_J
     while True:
-        side = _side(num, den, _bracket(alpha, j))
-        if side is not Ordering3.INDETERMINATE:
-            return side
+        lo, hi = _bracket(alpha, j)
+        scaled = num << (j + 4)
+        if scaled < lo * den:
+            return Ordering3.BELOW
+        if scaled > hi * den:
+            return Ordering3.ABOVE
         j *= 2

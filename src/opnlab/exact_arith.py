@@ -4,8 +4,9 @@ Rationals are stdlib ``fractions.Fraction`` (arbitrary-size, always
 canonical: reduced, positive denominator).  A ``RatInterval`` is a pair of
 rationals certified, by construction, to bracket some real constant; the
 three-way ``compare`` decides the position of an exact rational against
-the bracket without ever touching floating point; ``_side`` is the same
-test on an unreduced integer pair (num, den), with no gcd.
+the bracket without ever touching floating point.  ``constants`` keeps its
+own brackets as integers on a dyadic grid and builds a ``RatInterval``
+only at its public entries, so no table probe or radical case reads one.
 """
 
 from __future__ import annotations
@@ -78,17 +79,6 @@ class RatInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _side(num: int, den: int, interval: RatInterval) -> Ordering3:
-    """Position of num/den (den > 0, not necessarily reduced) against
-    [lo, hi], by cross-multiplication: no gcd is taken."""
-    lo, hi = interval.lo, interval.hi
-    if num * lo.denominator < lo.numerator * den:
-        return Ordering3.BELOW
-    if num * hi.denominator > hi.numerator * den:
-        return Ordering3.ABOVE
-    return Ordering3.INDETERMINATE
-
-
 def compare(q, interval: RatInterval) -> Ordering3:
     """Decide q against [lo, hi]: Below if q < lo, Above if q > hi, else Indeterminate.
 
@@ -96,4 +86,8 @@ def compare(q, interval: RatInterval) -> Ordering3:
     the enclosed constant cannot be settled at this width; a finer bracket may.
     """
     q = as_rational(q)
-    return _side(q.numerator, q.denominator, interval)
+    if q < interval.lo:
+        return Ordering3.BELOW
+    if q > interval.hi:
+        return Ordering3.ABOVE
+    return Ordering3.INDETERMINATE

@@ -1,18 +1,41 @@
 """Reference brackets of pi, arctan(1/x), zeta(s) and the screening
 thresholds, and truncated prime products summed term by term.
 
-Exact ``Fraction`` arithmetic throughout, independent of the library: the
-library's own code is used only for ``RatInterval`` and the exact
-``compare`` of a rational against a bracket.
+Exact ``Fraction`` arithmetic throughout, independent of the library: its
+brackets are this module's own ``Bracket``, whose side test is a plain
+``Fraction`` comparison.  Only the ``Ordering3`` labels come from the
+library, so a side can be compared with ``decide``'s by identity.
 """
 
 import functools
 from fractions import Fraction
+from typing import NamedTuple
 
-from opnlab.exact_arith import Ordering3, RatInterval, compare
+from opnlab.exact_arith import Ordering3
 
 
-def dirichlet_zeta(s: int, n: int) -> RatInterval:
+class Bracket(NamedTuple):
+    """Closed interval [lo, hi] of Fractions."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def side(self, q: Fraction) -> Ordering3:
+        """Below if q < lo, Above if q > hi, else Indeterminate."""
+        if q < self.lo:
+            return Ordering3.BELOW
+        if q > self.hi:
+            return Ordering3.ABOVE
+        return Ordering3.INDETERMINATE
+
+
+def dirichlet_zeta(s: int, n: int) -> Bracket:
     """zeta(s) between the partial sum to n plus the two integral tail bounds
 
     (n+1)^(1-s)/(s-1) <= sum_{k>n} k^(-s) <= n^(1-s)/(s-1).
@@ -26,13 +49,13 @@ def dirichlet_zeta(s: int, n: int) -> RatInterval:
         return partial(lo, mid) + partial(mid + 1, hi)
 
     total = partial(1, n)
-    return RatInterval(
+    return Bracket(
         total + Fraction(1, (s - 1) * (n + 1) ** (s - 1)),
         total + Fraction(1, (s - 1) * n ** (s - 1)),
     )
 
 
-def arctan_inv(x: int, w: Fraction) -> RatInterval:
+def arctan_inv(x: int, w: Fraction) -> Bracket:
     """atan(1/x) for an integer x >= 2, its alternating series stopped at its
     first term below w, which bounds the tail and the bracket's width."""
     total, k = Fraction(0), 0
@@ -40,20 +63,20 @@ def arctan_inv(x: int, w: Fraction) -> RatInterval:
         term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
         if term <= w:
             if k % 2 == 0:
-                return RatInterval(total, total + term)
-            return RatInterval(total - term, total)
+                return Bracket(total, total + term)
+            return Bracket(total - term, total)
         total += term if k % 2 == 0 else -term
         k += 1
 
 
-def machin_pi(w: Fraction) -> RatInterval:
+def machin_pi(w: Fraction) -> Bracket:
     """pi = 16 atan(1/5) - 4 atan(1/239), each arctangent to w/32 (resp. w/8)."""
     a = arctan_inv(5, w / 32)
     b = arctan_inv(239, w / 8)
-    return RatInterval(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
+    return Bracket(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
 
 
-def crvz_zeta(s: int, w: Fraction) -> RatInterval:
+def crvz_zeta(s: int, w: Fraction) -> Bracket:
     """zeta(s) = eta(s) / (1 - 2^(1-s)), eta by Algorithm 1 of Cohen, Rodriguez
     Villegas and Zagier in exact Fractions; |eta - S_n| <= eta / d_n < 1 / d_n."""
     factor = 1 / (1 - Fraction(1, 2 ** (s - 1)))
@@ -66,21 +89,21 @@ def crvz_zeta(s: int, w: Fraction) -> RatInterval:
         total += c / (k + 1) ** s
         b = b * (k + n) * (k - n) / (Fraction(2 * k + 1, 2) * (k + 1))
     eta = total / d
-    return RatInterval((eta - Fraction(1, d)) * factor, (eta + Fraction(1, d)) * factor)
+    return Bracket((eta - Fraction(1, d)) * factor, (eta + Fraction(1, d)) * factor)
 
 
-def oracle_threshold(alpha: int, w: Fraction) -> RatInterval:
+def oracle_threshold(alpha: int, w: Fraction) -> Bracket:
     """Bracket of 2^(a+2) / (zeta(a+1) (2^(a+1)-1)) of width <= w."""
     if alpha == 1:  # 16 / pi^2; 16/x^2 stretches widths near pi by < 1.04
         p = machin_pi(w / 2)
-        return RatInterval(16 / p.hi**2, 16 / p.lo**2)
+        return Bracket(16 / p.hi**2, 16 / p.lo**2)
     c = Fraction(2 ** (alpha + 2), 2 ** (alpha + 1) - 1)
     z = crvz_zeta(alpha + 1, w / c)  # zeta > 1, so c/zeta narrows the width
-    return RatInterval(c / z.hi, c / z.lo)
+    return Bracket(c / z.hi, c / z.lo)
 
 
 @functools.cache
-def _oracle_bracket(alpha: int, bits: int) -> RatInterval:
+def _oracle_bracket(alpha: int, bits: int) -> Bracket:
     return oracle_threshold(alpha, Fraction(1, 2**bits))
 
 
@@ -88,14 +111,14 @@ def oracle_side(q, alpha: int) -> Ordering3:
     """Certified side of q against the alpha threshold, by the oracles alone.
 
     Starts at width 2^-100 (about 8e-31) and halves the cached oracle width
-    until ``compare`` decides; q is rational and the threshold irrational, so
-    some width does.
+    until ``Bracket.side`` decides; q is rational and the threshold
+    irrational, so some width does.
     """
     bits = 100
     while True:
-        side = compare(q, _oracle_bracket(alpha, bits))
-        if side is not Ordering3.INDETERMINATE:
-            return side
+        found = _oracle_bracket(alpha, bits).side(Fraction(q))
+        if found is not Ordering3.INDETERMINATE:
+            return found
         bits += 1
 
 

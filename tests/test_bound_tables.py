@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opnlab import bound_tables
 from opnlab.abundancy import _truncated_pair
 from opnlab.bound_tables import (
     _PREFIX,
@@ -153,6 +154,25 @@ def test_windows_stop_exactly_at_the_prime_cap(k, m, alpha, cold):
             rho(k, m, r, alpha)
         with pytest.raises(ResourceLimit, match=f"prime #{cap} "):
             find_I(k, m, alpha)
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
+
+
+def test_a_probe_within_the_cap_makes_no_sieve_call(monkeypatch):
+    # a window that ends exactly on the cap's last prime is read from a warm
+    # store alone: no sieve call, and so no sieve lock
+    k, m, alpha = 3, 12, 3
+    r = find_I(k, m, alpha)
+    value = rho(k, m, r, alpha)
+
+    def sieve_call(*args):
+        raise AssertionError(f"sieve called with {args}")
+
+    try:
+        set_prime_cap(r + m - k)
+        monkeypatch.setattr(bound_tables, "nth_prime", sieve_call)
+        monkeypatch.setattr(bound_tables, "primes_window", sieve_call)
+        assert rho(k, m, r, alpha) == value
     finally:
         set_prime_cap(DEFAULT_PRIME_CAP)
 
