@@ -40,7 +40,6 @@ from .errors import (
 from .exact_arith import (
     Ordering3,
     RatInterval,
-    compare,
 )
 from .primes import (
     Factorization,
@@ -87,7 +86,6 @@ __all__ = [
     "ScreenVerdict",
     "Threshold",
     "abundancy_report",
-    "compare",
     "euler_form_check",
     "factorize",
     "find_I",

@@ -146,6 +146,7 @@ def rho_limit(k: int) -> Fraction:
     16/pi^2, so no window index can ever fall below the threshold and the
     method stops at the third prime factor.
     """
+    k = as_index(k, "k")
     if k in (1, 2, 3):
         return Fraction(*_PREFIX[k])
     raise InvalidArgument(

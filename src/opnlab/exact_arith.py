@@ -2,11 +2,11 @@
 
 Rationals are stdlib ``fractions.Fraction`` (arbitrary-size, always
 canonical: reduced, positive denominator).  A ``RatInterval`` is a pair of
-rationals certified, by construction, to bracket some real constant; the
-three-way ``compare`` decides the position of an exact rational against
-the bracket without ever touching floating point.  ``constants`` keeps its
-own brackets as integers on a dyadic grid and builds a ``RatInterval``
-only at its public entries, so no table probe or radical case reads one.
+rationals certified, by construction, to bracket some real constant.
+Comparisons against a constant are made by ``constants.decide``, which
+keeps its brackets as integers on a dyadic grid and refines them until it
+can answer with an ``Ordering3``; a ``RatInterval`` is built only at the
+public entries of ``constants``, so no table probe or radical case reads one.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ def as_index(value, name: str) -> int:
 
 
 class Ordering3(enum.Enum):
-    """Position of a rational relative to an interval."""
+    """Side of a rational against an irrational threshold, as ``decide``
+    answers it: the rational is never equal to the constant, so a fine
+    enough bracket always puts it strictly below or strictly above."""
 
     BELOW = "Below"
     ABOVE = "Above"
-    INDETERMINATE = "Indeterminate"
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,3 @@ class RatInterval:
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
-
-def compare(q, interval: RatInterval) -> Ordering3:
-    """Decide q against [lo, hi]: Below if q < lo, Above if q > hi, else Indeterminate.
-
-    Indeterminate means q lies inside the bracket, so the comparison against
-    the enclosed constant cannot be settled at this width; a finer bracket may.
-    """
-    q = as_rational(q)
-    if q < interval.lo:
-        return Ordering3.BELOW
-    if q > interval.hi:
-        return Ordering3.ABOVE
-    return Ordering3.INDETERMINATE

@@ -289,10 +289,6 @@ class Factorization:
     def radical(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
-    def omega(self) -> int:
-        return len(self.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

@@ -58,7 +58,6 @@ class Condition(enum.Enum):
     ALPHA1_LOWER_BOUND = "Alpha1LowerBound"
     ALPHA1_UPPER_BOUND = "Alpha1UpperBound"
     ALPHA2_CASE1 = "Alpha2Case1"
-    ALPHA2_CASE2 = "Alpha2Case2"
     TRIPLE_EXCLUSION_357 = "TripleExclusion357"
 
 
@@ -71,7 +70,6 @@ _STRUCTURAL = frozenset(
 class Mode(enum.Enum):
     ALPHA1 = "alpha1"
     ALPHA2_CASE1 = "alpha2case1"
-    ALPHA2_CASE2 = "alpha2case2"
     AUTO = "auto"
 
 
@@ -180,13 +178,6 @@ def _screen_alpha1(ps) -> ScreenVerdict:
     return ScreenVerdict(Outcome.VIOLATES, condition, Fraction(num, den))
 
 
-def _screen_alpha2_case2(ps) -> ScreenVerdict:
-    num, den = _truncated_pair(ps, 2)
-    if num >= 2 * den or decide(num, den, 2) is Ordering3.BELOW:
-        return ScreenVerdict(Outcome.VIOLATES, Condition.ALPHA2_CASE2, Fraction(num, den))
-    return _CONSISTENT
-
-
 def _screen_alpha2_combined(ps) -> ScreenVerdict:
     """Refute only if the all-even case and every admissible special prime fail.
 
@@ -232,8 +223,6 @@ def _radical_screen(ps: tuple[int, ...], mode: Mode) -> ScreenVerdict:
     # ps must already be sorted, distinct, odd and proven prime
     if mode is Mode.ALPHA1:
         return _screen_alpha1(ps)
-    if mode is Mode.ALPHA2_CASE2:
-        return _screen_alpha2_case2(ps)
     if mode is Mode.ALPHA2_CASE1:
         return _screen_alpha2_combined(ps)
     if mode is Mode.AUTO:

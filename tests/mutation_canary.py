@@ -1,0 +1,149 @@
+"""Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
+
+Each mutant breaks a contract the code states: a proven primality bound, an
+outward-rounded enclosure, or an exact screening identity.  For each one the
+script copies the repository (without ``.git`` and caches) into a temporary
+directory, replaces one line, and runs ``pytest -x -q`` there; the mutant is
+killed when pytest reports a failing test (exit 1).  The unmutated copy runs
+first and must pass, so a suite that is already broken cannot kill anything
+by accident.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutation_canary.py
+
+It exits 0 when every mutant is killed and 1 otherwise.  A mutant whose
+line is no longer in its file also fails the run, so the list cannot go
+stale unnoticed.  pytest does not collect this file (it is not test_*.py).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST_TIMEOUT = 300  # seconds per run; a hang is reported, never counted as killed
+
+# (name, file under src/opnlab, line as written, mutated line)
+MUTANTS = [
+    (
+        "12-base Miller-Rabin witnesses below the 13-base bound psi_13",
+        "primes.py",
+        "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+        "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+    ),
+    (
+        "witness ladder gives n = psi_k only k bases",
+        "primes.py",
+        "for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:",
+        "for a in _MR_WITNESSES[: bisect_left(_MR_PSI, n) + 1]:",
+    ),
+    (
+        "gcd proves primes up to 1032^2, past (1024 + 1)^2",
+        "primes.py",
+        "_GCD_BOUND = (_START_LIMIT + 1) ** 2",
+        "_GCD_BOUND = 1032**2",
+    ),
+    (
+        "threshold upper end floored, not ceiled",
+        "constants.py",
+        "return top // (d * hi**e), -(-top // (d * lo**e))",
+        "return top // (d * hi**e), top // (d * lo**e)",
+    ),
+    (
+        "zeta ends moved inward by one unit",
+        "constants.py",
+        "return (v - 2) * r_num // r_den, -(-(v + 2) * r_num // r_den)",
+        "return (v - 2) * r_num // r_den + 1, -(-(v + 2) * r_num // r_den) - 1",
+    ),
+    (
+        "Machin pi without its 8 guard bits",
+        "constants.py",
+        "k = bits + bits.bit_length() + 8",
+        "k = bits + bits.bit_length()",
+    ),
+    (
+        "special-prime case swaps in q^2 + q, not q^2 + q + 1",
+        "screener.py",
+        "if q is not None and num * (q * (q + 1)) < 2 * den * (q * q + q + 1):",
+        "if q is not None and num * (q * (q + 1)) < 2 * den * (q * q + q):",
+    ),
+    (
+        "alpha-2 screen compares against the alpha-1 threshold",
+        "screener.py",
+        "elif decide(num, den, 2) is not Ordering3.BELOW:",
+        "elif decide(num, den, 1) is not Ordering3.BELOW:",
+    ),
+]
+
+
+def _run_pytest(copy: Path) -> tuple[int | None, float, str]:
+    """pytest's exit code on the copy (None on timeout), its wall time and
+    the last lines of its output."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.monotonic()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            timeout=PYTEST_TIMEOUT,
+        )
+        code, tail = done.returncode, "\n".join(done.stdout.splitlines()[-15:])
+    except subprocess.TimeoutExpired:
+        code, tail = None, ""
+    return code, time.monotonic() - start, tail
+
+
+def _fresh_copy(parent: Path) -> Path:
+    copy = parent / "tree"
+    if copy.exists():
+        shutil.rmtree(copy)
+    ignore = shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_results", ".benchmarks"
+    )
+    shutil.copytree(ROOT, copy, ignore=ignore)
+    return copy
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="opnlab-canary-") as tmp:
+        code, took, tail = _run_pytest(_fresh_copy(Path(tmp)))
+        if code != 0:
+            print(f"unmutated tree: pytest exit {code} after {took:.1f} s, expected 0")
+            print(tail)
+            return 1
+        print(f"unmutated tree: passes in {took:.1f} s")
+        for name, filename, line, mutated in MUTANTS:
+            copy = _fresh_copy(Path(tmp))
+            path = copy / "src" / "opnlab" / filename
+            text = path.read_text()
+            if text.count(line) != 1:
+                print(f"STALE     {name}: {filename} holds {text.count(line)} copies of {line!r}")
+                failures += 1
+                continue
+            path.write_text(text.replace(line, mutated))
+            code, took, tail = _run_pytest(copy)
+            if code == 1:
+                print(f"killed    {name} ({took:.1f} s)")
+            else:
+                status = "timed out" if code is None else f"pytest exit {code}"
+                print(f"SURVIVED  {name} ({status} after {took:.1f} s)")
+                print(tail)
+                failures += 1
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

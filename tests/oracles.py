@@ -3,8 +3,9 @@ thresholds, and truncated prime products summed term by term.
 
 Exact ``Fraction`` arithmetic throughout, independent of the library: its
 brackets are this module's own ``Bracket``, whose side test is a plain
-``Fraction`` comparison.  Only the ``Ordering3`` labels come from the
-library, so a side can be compared with ``decide``'s by identity.
+``Fraction`` comparison that returns None for a rational inside the
+bracket.  Only the ``Ordering3`` labels come from the library, so a side
+can be compared with ``decide``'s by identity.
 """
 
 import functools
@@ -26,13 +27,13 @@ class Bracket(NamedTuple):
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def side(self, q: Fraction) -> Ordering3:
-        """Below if q < lo, Above if q > hi, else Indeterminate."""
+    def side(self, q: Fraction) -> Ordering3 | None:
+        """Below if q < lo, Above if q > hi, else None: inside the bracket."""
         if q < self.lo:
             return Ordering3.BELOW
         if q > self.hi:
             return Ordering3.ABOVE
-        return Ordering3.INDETERMINATE
+        return None
 
 
 def dirichlet_zeta(s: int, n: int) -> Bracket:
@@ -117,7 +118,7 @@ def oracle_side(q, alpha: int) -> Ordering3:
     bits = 100
     while True:
         found = _oracle_bracket(alpha, bits).side(Fraction(q))
-        if found is not Ordering3.INDETERMINATE:
+        if found is not None:
             return found
         bits += 1
 

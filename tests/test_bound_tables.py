@@ -74,8 +74,9 @@ def test_rho_validation():
         (lambda: rho(1.0, 9, 2), "k"),
         (lambda: generate_table(9, 10.5), "m_max"),
         (lambda: perisastri_bound(9.0), "m"),
+        (lambda: rho_limit(2.0), "k"),
     ],
-    ids=["find_I", "rho", "rho_params_k", "generate_table", "perisastri_bound"],
+    ids=["find_I", "rho", "rho_params_k", "generate_table", "perisastri_bound", "rho_limit"],
 )
 def test_float_indices_are_rejected_by_name(call, name):
     with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):

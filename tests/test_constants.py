@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnlab import constants
@@ -20,7 +20,7 @@ from opnlab.constants import (
     zeta_enclosure,
 )
 from opnlab.errors import InvalidArgument, PrecisionCapExceeded
-from opnlab.exact_arith import Ordering3, RatInterval, compare
+from opnlab.exact_arith import Ordering3, RatInterval
 from oracles import (
     arctan_inv,
     crvz_zeta,
@@ -259,7 +259,7 @@ def test_certified_compare_decides_near_misses():
     for alpha in (1, 2):
         t = threshold_enclosure(alpha)
         q = t.enclosure.midpoint()
-        assert compare(q, t.enclosure) is Ordering3.INDETERMINATE
+        assert t.enclosure.contains(q)
         side = decide(q.numerator, q.denominator, alpha)
         assert side in (Ordering3.BELOW, Ordering3.ABOVE)
         assert side is oracle_side(q, alpha)
@@ -332,18 +332,14 @@ def test_a_near_miss_builds_few_brackets():
             constants._bracket.cache_clear()
             assert decide(q.numerator, q.denominator, alpha) is side
             assert constants._bracket.cache_info().misses <= 5
-            assert compare(q, fine) is side
-
-
-# fine enough to decide every offset the property below draws (>= 1e-10)
-_FINE_WIDTH = {1: Fraction(1, 10**40), 2: Fraction(1, 10**12)}
+            assert fine.side(q) is side
 
 
 @functools.cache
-def _fine(alpha):
-    iv = threshold_enclosure(alpha, _FINE_WIDTH[alpha]).enclosure
+def _short_near(alpha):
     # a short rational within 1e-15 of the constant keeps drawn points cheap
-    return iv, Fraction(round(iv.midpoint() * 10**15), 10**15)
+    mid = oracle_threshold(alpha, Fraction(1, 10**20)).midpoint()
+    return Fraction(round(mid * 10**15), 10**15)
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,10 +349,8 @@ def _fine(alpha):
     g=st.integers(min_value=1, max_value=10**6),
 )
 def test_decide_agrees_with_a_fine_enclosure(alpha, offset, g):
-    fine, near = _fine(alpha)
-    q = near + offset
-    expected = compare(q, fine)
-    assume(expected is not Ordering3.INDETERMINATE)
+    q = _short_near(alpha) + offset
+    expected = oracle_side(q, alpha)
     # decide takes unreduced pairs: a common factor must not matter
     assert decide(q.numerator * g, q.denominator * g, alpha) is expected
 

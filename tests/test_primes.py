@@ -362,7 +362,6 @@ def test_factorization_helpers():
     assert f.factors == ((3, 3), (5, 1), (7, 1))
     assert f.n == 945
     assert f.radical == (3, 5, 7)
-    assert f.omega == 3
     assert str(f) == "3^3*5*7"
     assert str(Factorization(())) == "1"
 

@@ -6,14 +6,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opnlab import abundancy, primes, screener
 from opnlab.abundancy import truncated_product
 from opnlab.constants import Precision, threshold_enclosure
 from opnlab.errors import InvalidArgument, ResourceLimit
-from opnlab.exact_arith import Ordering3, compare
+from opnlab.exact_arith import Ordering3
 from opnlab.primes import Factorization, factorize, primes_window
 from opnlab.screener import (
     Condition,
@@ -138,13 +138,6 @@ def test_alpha1_mode_alone_cannot_exclude_357():
     assert alpha1_oracle([3, 5, 7]) == Fraction(64, 35)  # inside the band
 
 
-def test_alpha2_case2_mode():
-    v = radical_screen([3, 5, 7], Mode.ALPHA2_CASE2)
-    assert v.violates
-    assert v.violated_condition is Condition.ALPHA2_CASE2
-    assert v.witness == Fraction(22971, 11025)
-
-
 def test_auto_gate_on_distinct_prime_count():
     v = radical_screen([3, 5], Mode.AUTO)
     assert v.violated_condition is Condition.TOO_FEW_PRIME_FACTORS
@@ -228,7 +221,7 @@ def test_upper_bound_refutation_is_monotone():
         bigger = base + extra
         grown = alpha2_oracle(bigger)
         assert grown > value > 2
-        assert radical_screen(bigger, Mode.ALPHA2_CASE2).violates
+        assert radical_screen(bigger, Mode.ALPHA2_CASE1).violates
 
 
 def test_full_screen_order_and_composition():
@@ -287,7 +280,6 @@ def test_full_screen_never_clears_small_odd_numbers():
         ([3, 7, 17, 19, 47, 89, 97, 101, 113], Mode.AUTO),
         ([3, 7, 17, 19, 47, 89, 97, 101, 113], Mode.ALPHA1),
         ([3, 7, 17, 19, 47, 89, 97, 101, 113], Mode.ALPHA2_CASE1),
-        ([3, 7, 17, 31, 41, 53, 71, 83, 103], Mode.ALPHA2_CASE2),
     ],
 )
 def test_consistent_radical_verdict_builds_no_fraction(monkeypatch, ps, mode):
@@ -346,15 +338,8 @@ _prime_sets = st.one_of(
 )
 
 
-@functools.cache
-def _fine_threshold(alpha):
-    return threshold_enclosure(alpha, Precision(Fraction(1, 10**40 if alpha == 1 else 10**12)))
-
-
 def _naive_outside(value, alpha):
-    side = compare(value, _fine_threshold(alpha).enclosure)
-    assume(side is not Ordering3.INDETERMINATE)
-    return value >= 2 or side is Ordering3.BELOW
+    return value >= 2 or oracle_side(value, alpha) is Ordering3.BELOW
 
 
 def _naive_verdict(ps, mode):
@@ -372,8 +357,6 @@ def _naive_verdict(ps, mode):
             return Condition.ALPHA1_LOWER_BOUND, value, None
         return None, None, None
     case2 = alpha2_oracle(ps)
-    if mode is Mode.ALPHA2_CASE2:
-        return (Condition.ALPHA2_CASE2, case2, None) if _naive_outside(case2, 2) else (None,) * 3
     cases = [("case2", case2)]
     cases += [(f"case1[q={q}]", alpha2_oracle(ps, special=q)) for q in ps if q % 4 == 1]
     if not all(_naive_outside(value, 2) for _, value in cases):
@@ -386,7 +369,10 @@ def _naive_verdict(ps, mode):
 # one set per way the combined alpha = 2 screen ends: case 2 below the
 # threshold with specials present; every case at or above 2; the smallest
 # special's case below 2, so it survives while larger specials' cases lie
-# above 2; case 2 at or above 2 with no special prime at all
+# above 2; case 2 at or above 2 with no special prime at all; case 2 with
+# no special prime between 16/pi^2 and 16/(7 zeta(3)), which only the
+# alpha = 2 threshold refutes
+@example(ps={3, 7, 11}, mode=Mode.ALPHA2_CASE1)
 @example(ps={101, 103, 107, 109, 113}, mode=Mode.ALPHA2_CASE1)
 @example(ps={3, 5, 11, 13, 17, 19, 23, 29}, mode=Mode.ALPHA2_CASE1)
 @example(ps={3, 5, 13, 17}, mode=Mode.ALPHA2_CASE1)
