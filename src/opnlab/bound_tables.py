@@ -32,10 +32,11 @@ and the primes themselves, so a probe is two C-level products over two list
 slices.
 A probe takes no sieve lock: it compares its last index with the sieve cap
 and calls the sieve only to raise its ResourceLimit past the cap, or to
-grow the store.  The store doubles as the probed indices rise, within the
-cap; a longer pair of lists replaces the old one whole, never extended in
-place, so concurrent searches share it safely; and it keeps the 8 alphas
-used most recently.  Each pair is decided like the radical screen's by
+grow the store; a table row reads its three primes from the store too.
+The store doubles as the probed indices rise, within the cap; a longer
+pair of lists replaces the old one whole, never extended in place, so
+concurrent searches share it safely; and it keeps the 8 alphas used most
+recently.  Each pair is decided like the radical screen's by
 ``constants.decide``, which compares it with the threshold bracket's grid
 integers by cross-multiplication; only ``rho``, which shows the value,
 reduces it to a ``Fraction``.
@@ -228,12 +229,14 @@ def generate_table(m_min: int, m_max: int, alpha: int = 1) -> list[BoundTableRow
     for m in range(m_min, m_max + 1):
         for k in index:
             index[k] = _find_index(k, m, alpha, above=index[k] - 1)
+        # every found index was probed, so the store already holds its prime
+        _, primes = _factors(alpha, max(index.values()))
         rows.append(
             BoundTableRow(
                 m=m,
-                p_I1=nth_prime(index[1]),
-                p_I2=nth_prime(index[2]),
-                p_I3=nth_prime(index[3]),
+                p_I1=primes[index[1] - 1],
+                p_I2=primes[index[2] - 1],
+                p_I3=primes[index[3] - 1],
                 perisastri=perisastri_bound(m),
             )
         )

@@ -7,7 +7,10 @@ usage or internal errors.  Every decimal rendering comes from one exact
 integer division of the underlying rational, truncated toward zero, never
 through floating point.  ``constants`` prints its bracket's midpoint to
 min(d, MAX_DECIMAL_DIGITS) + 1 places, where d is the least integer with
-10^-d <= width.
+10^-d <= width.  It prints the grid integers (lo, hi, bits) of
+``constants._threshold_ends`` with no ``Fraction``: lo, hi and the width
+as dyadic fractions reduced by their trailing zero bits, and the decimal
+as a shift of a grid integer.
 
 ``main()`` builds its parser once per process, on its first call, and
 dispatches on the parsed subcommand name, so later in-process calls only
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 from . import bound_tables, screener
 from .abundancy import abundancy_report
-from .constants import Precision, threshold_enclosure
+from .constants import _threshold_ends
 from .errors import OpnlabError, ParseError
 from .exact_arith import as_rational
 from .primes import DEFAULT_PRIME_CAP, Factorization, factorize, prime_cap, set_prime_cap
@@ -270,15 +273,26 @@ def _constants_lines(records) -> list[str]:
     ]
 
 
+def _dyadic_str(n: int, bits: int) -> str:
+    """n / 2^bits in lowest terms, for n > 0 not a multiple of 2^bits."""
+    zeros = (n & -n).bit_length() - 1
+    return f"{n >> zeros}/{1 << (bits - zeros)}"
+
+
 def _cmd_constants(args) -> int:
     width = parse_width(args.width)
-    iv = threshold_enclosure(args.alpha, Precision(width)).enclosure
+    # 2^bits < lo < hi < 2^(bits+1), so lo and hi reduce by fewer than bits zeros
+    lo, hi, bits = _threshold_ends(args.alpha, width)
+    digits = _certified_digits(width)
+    mid = (lo + hi) >> 1  # hi - lo = 32: exact
     record = {
         "alpha": args.alpha,
-        "lo": frac_str(iv.lo),
-        "hi": frac_str(iv.hi),
-        "width": frac_str(iv.width()),
-        "value_decimal": decimal_str(iv.midpoint(), _certified_digits(width)),
+        "lo": _dyadic_str(lo, bits),
+        "hi": _dyadic_str(hi, bits),
+        "width": _dyadic_str(hi - lo, bits),
+        # decimal_str of mid / 2^bits: floor(frac * 10^digits) by one shift
+        "value_decimal": f"{mid >> bits}."
+        + _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> bits, digits),
     }
     _render(args.format, [record], _constants_lines)
     return 0

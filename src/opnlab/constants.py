@@ -12,11 +12,14 @@ d_n > (3+sqrt 8)^n / 2.
 
 A screening threshold is 2^(a+2) / (zeta(a+1) * (2^(a+1)-1)).  For a = 1
 this equals 16/pi^2 and is built from the pi enclosure; for a >= 2 it is
-built from the zeta enclosure.  ``threshold_enclosure`` is the one bracket
-builder: the bracket ``opnlab constants`` prints is the one every
-comparison uses.  It and the zeta bracket are mid +- 2^-j, mid on the grid
-2^-(j+4), so their endpoints need about log2(1/width) + 5 bits, and the
-constant lies nearly half a width inside each end.
+built from the zeta enclosure.  ``_threshold_ends(alpha, prec)`` is the one
+validated entry to a threshold bracket at a requested width: it returns the
+bracket's grid integers (lo, hi, bits), ``threshold_enclosure`` wraps them
+in a ``Threshold``, and ``opnlab constants`` prints them directly, so the
+bracket the CLI prints is the one every comparison uses.  It and the zeta
+bracket are mid +- 2^-j, mid on the grid 2^-(j+4), so their endpoints need
+about log2(1/width) + 5 bits, and the constant lies nearly half a width
+inside each end.
 
 The enclosure functions are pure: each call computes its bracket from the
 series, so ``threshold_enclosure`` at a given width always returns the same
@@ -37,6 +40,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import InvalidArgument, PrecisionCapExceeded
 from .exact_arith import Ordering3, RatInterval, as_index, as_rational
@@ -204,12 +208,13 @@ def _bracket(alpha: int, j: int) -> tuple[int, int]:
     return _centred(functools.partial(_threshold_scaled, alpha), j)
 
 
-def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
-    """Dyadic threshold bracket mid +- 2^-j, width 2^(1-j) <= the target.
+def _threshold_ends(alpha: int, prec) -> tuple[int, int, int]:
+    """(lo, hi, bits): the threshold bracket mid +- 2^-j as [lo, hi] / 2^bits,
+    bits = j + 4, hi - lo = 32, width 2^(1-j) <= the target.
 
     j doubles past the target as needed so the bracket lies strictly
     inside (1, 2), however coarse the request or close to 2 the constant
-    (about 2 - 2 * 3^-(alpha+1)).
+    (about 2 - 2 * 3^-(alpha+1)); so 2^bits < lo < hi < 2^(bits+1).
     """
     alpha = as_index(alpha, "alpha")
     if alpha < 1:
@@ -218,8 +223,15 @@ def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
     while True:
         lo, hi = _bracket(alpha, j)
         if 1 << (j + 4) < lo and hi < 2 << (j + 4):
-            return Threshold(alpha, _dyadic(lo, hi, j + 4))
+            return lo, hi, j + 4
         j *= 2
+
+
+def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
+    """Dyadic threshold bracket mid +- 2^-j strictly inside (1, 2), width
+    2^(1-j) <= the target; the bracket ``_threshold_ends`` gives."""
+    enclosure = _dyadic(*_threshold_ends(alpha, prec))  # validates alpha first
+    return Threshold(index(alpha), enclosure)
 
 
 _DEFAULT_J = _target_bits(DEFAULT_WIDTH) + 1

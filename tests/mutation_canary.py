@@ -1,7 +1,8 @@
 """Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
 
 Each mutant breaks a contract the code states: a proven primality bound, an
-outward-rounded enclosure, or an exact screening identity.  For each one the
+outward-rounded enclosure, an exact screening identity, or the exact
+rendering of a certified constant.  For each one the
 script copies the repository (without ``.git`` and caches) into a temporary
 directory, replaces one line, and runs ``pytest -x -q`` there; the mutant is
 killed when pytest reports a failing test (exit 1).  The unmutated copy runs
@@ -79,6 +80,18 @@ MUTANTS = [
         "screener.py",
         "elif decide(num, den, 2) is not Ordering3.BELOW:",
         "elif decide(num, den, 1) is not Ordering3.BELOW:",
+    ),
+    (
+        "constants prints its dyadic ends unreduced",
+        "cli.py",
+        "zeros = (n & -n).bit_length() - 1",
+        "zeros = 0",
+    ),
+    (
+        "constants decimal shifted by bits - 1, not bits",
+        "cli.py",
+        "+ _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> bits, digits),",
+        "+ _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> (bits - 1), digits),",
     ),
 ]
 

@@ -1,8 +1,10 @@
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from opnlab import cli, primes, screener
 from opnlab.cli import MAX_DECIMAL_DIGITS, _certified_digits, decimal_str, main, parse_factorization
+from opnlab.constants import Precision, threshold_enclosure
 from opnlab.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden" / "table_m9_m20_alpha1.csv"
@@ -316,6 +319,66 @@ def test_constants_zeta_default_width_is_in_reach():
 def test_constants_rejects_bad_width():
     assert run_cli("constants", "--width", "0").returncode == 2
     assert run_cli("constants", "--width", "nope").returncode == 2
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_constants_rejects_alpha_below_one(alpha, monkeypatch, capsys):
+    monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
+    assert main(["constants", "--alpha", alpha]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: alpha must be an integer >= 1, got {alpha}\n"
+
+
+def _constants_oracle(alpha: int, width: Fraction, fmt: str) -> str:
+    """The constants output built from the public enclosure with Fraction
+    arithmetic: lo, hi and width in lowest terms, and the midpoint by long
+    division to d + 1 places, d the least with 10^-d <= width (capped)."""
+    iv = threshold_enclosure(alpha, Precision(width)).enclosure
+    d = 0
+    while d < MAX_DECIMAL_DIGITS and Fraction(1, 10**d) > width:
+        d += 1
+    mid = iv.midpoint()
+    whole, rem = divmod(mid.numerator, mid.denominator)
+    places = str(rem * 10 ** (d + 1) // mid.denominator).zfill(d + 1)
+    record = {
+        "alpha": alpha,
+        "lo": f"{iv.lo.numerator}/{iv.lo.denominator}",
+        "hi": f"{iv.hi.numerator}/{iv.hi.denominator}",
+        "width": f"{iv.width().numerator}/{iv.width().denominator}",
+        "value_decimal": f"{whole}.{places}",
+    }
+    if fmt == "csv":
+        return ",".join(record) + "\n" + ",".join(str(v) for v in record.values()) + "\n"
+    if fmt == "jsonl":
+        return json.dumps(record) + "\n"
+    r = record
+    return (
+        f"alpha: {alpha}\nlo: {r['lo']}\nhi: {r['hi']}\nwidth: {r['width']}\n"
+        f"value: ~{r['value_decimal']}\n"
+    )
+
+
+_WIDTHS = st.one_of(
+    st.builds(
+        lambda m, e: (f"{m}e-{e}", Fraction(m, 10**e)),
+        st.integers(1, 10**6),
+        st.integers(0, 400),
+    ),
+    # a width of 1 or more: the bracket lies inside (1, 2) only after j doubles
+    st.sampled_from([("1", Fraction(1)), ("3/2", Fraction(3, 2)), ("7", Fraction(7))]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), _WIDTHS, st.sampled_from(["csv", "jsonl", "human"]))
+def test_constants_output_matches_the_fraction_oracle(alpha, width, fmt):
+    text, value = width
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["constants", "--alpha", str(alpha), "--width", text, "--format", fmt])
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == _constants_oracle(alpha, value, fmt)
 
 
 def test_prime_cap_env_is_honored():
