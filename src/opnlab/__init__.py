@@ -24,8 +24,6 @@ from .bound_tables import (
 )
 from .constants import (
     DEFAULT_WIDTH,
-    Precision,
-    Threshold,
     pi_enclosure,
     threshold_enclosure,
     zeta_enclosure,
@@ -37,10 +35,7 @@ from .errors import (
     PrecisionCapExceeded,
     ResourceLimit,
 )
-from .exact_arith import (
-    Ordering3,
-    RatInterval,
-)
+from .exact_arith import RatInterval
 from .primes import (
     Factorization,
     factorize,
@@ -76,15 +71,12 @@ __all__ = [
     "InvalidArgument",
     "Mode",
     "OpnlabError",
-    "Ordering3",
     "Outcome",
     "ParseError",
-    "Precision",
     "PrecisionCapExceeded",
     "RatInterval",
     "ResourceLimit",
     "ScreenVerdict",
-    "Threshold",
     "abundancy_report",
     "euler_form_check",
     "factorize",

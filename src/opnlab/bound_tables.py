@@ -37,9 +37,9 @@ The store doubles as the probed indices rise, within the cap; a longer
 pair of lists replaces the old one whole, never extended in place, so
 concurrent searches share it safely; and it keeps the 8 alphas used most
 recently.  Each pair is decided like the radical screen's by
-``constants.decide``, which compares it with the threshold bracket's grid
-integers by cross-multiplication; only ``rho``, which shows the value,
-reduces it to a ``Fraction``.
+``constants.below``, which compares it with the threshold bracket's grid
+integers by cross-multiplication and answers a bool; only ``rho``, which
+shows the value, reduces it to a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import decide
+from .constants import below
 from .errors import InvalidArgument
-from .exact_arith import Ordering3, as_index
+from .exact_arith import as_index
 from .primes import nth_prime, prime_cap, primes_window
 
 TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
@@ -164,23 +164,19 @@ def _find_index(k: int, m: int, alpha: int, above: int = 1) -> int:
     threshold 2 * prod_{p odd} (1 - p^-(alpha+1)) rises with alpha from
     16/pi^2 > 1.62, so every prefix lies below every threshold.
     """
-
-    def below(r: int) -> bool:
-        return decide(*_window(k, m, r, alpha), alpha) is Ordering3.BELOW
-
     # Probes stay within the sieve cap; only when the last window it can
     # supply is still not below does the next probe (like the linear scan)
     # ask for one prime too many and raise ResourceLimit.
     last = prime_cap() - (m - k)
     base, step = above, 1
     hi = above + 1
-    while not below(hi):
+    while not below(*_window(k, m, hi, alpha), alpha):
         above = hi
         step *= 2
         hi = min(base + step, max(last, above + 1))
     while hi - above > 1:
         mid = (above + hi) // 2
-        if below(mid):
+        if below(*_window(k, m, mid, alpha), alpha):
             hi = mid
         else:
             above = mid
@@ -191,7 +187,7 @@ def find_I(k: int, m: int, alpha: int = 1) -> int:
     """Smallest window index r >= 2 whose product is certified below the
     alpha threshold.
 
-    Each comparison goes through ``constants.decide``, so it is certified
+    Each comparison goes through ``constants.below``, so it is certified
     against a threshold bracket fine enough to decide it.  The window
     product strictly decreases in r, so every later window is below the
     threshold too and the prime at the returned index is an upper bound for

@@ -99,7 +99,7 @@ def parse_width(text: str) -> Fraction:
     try:
         width = as_rational(text)
     except OpnlabError as exc:
-        raise ParseError(f"cannot parse width {text!r}") from exc
+        raise ParseError(f"cannot parse width: {exc}") from exc
     if width <= 0:
         raise ParseError(f"width must be > 0, got {text!r}")
     return width

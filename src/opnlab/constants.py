@@ -12,14 +12,15 @@ d_n > (3+sqrt 8)^n / 2.
 
 A screening threshold is 2^(a+2) / (zeta(a+1) * (2^(a+1)-1)).  For a = 1
 this equals 16/pi^2 and is built from the pi enclosure; for a >= 2 it is
-built from the zeta enclosure.  ``_threshold_ends(alpha, prec)`` is the one
-validated entry to a threshold bracket at a requested width: it returns the
-bracket's grid integers (lo, hi, bits), ``threshold_enclosure`` wraps them
-in a ``Threshold``, and ``opnlab constants`` prints them directly, so the
-bracket the CLI prints is the one every comparison uses.  It and the zeta
-bracket are mid +- 2^-j, mid on the grid 2^-(j+4), so their endpoints need
-about log2(1/width) + 5 bits, and the constant lies nearly half a width
-inside each end.
+built from the zeta enclosure.  ``_threshold_ends(alpha, width)`` is the
+one validated entry to a threshold bracket at a requested width: it returns
+the bracket's grid integers (lo, hi, bits), ``threshold_enclosure`` wraps
+them in a ``RatInterval``, and ``opnlab constants`` prints them directly, so
+the bracket the CLI prints is the one every comparison uses.  It and the
+zeta bracket are mid +- 2^-j, mid on the grid 2^-(j+4), so their endpoints
+need about log2(1/width) + 5 bits, and the constant lies nearly half a width
+inside each end.  A width is a plain rational (an int, a ``Fraction`` or a
+numeric string), coerced and checked once, by ``_target_bits``.
 
 The enclosure functions are pure: each call computes its bracket from the
 series, so ``threshold_enclosure`` at a given width always returns the same
@@ -30,7 +31,7 @@ bracket is a pair of integers on its own dyadic grid: ``_bracket(alpha, j)``
 is (lo, hi) on 2^-(j+4), and a threshold is composed from the integer
 outputs of the pi and zeta series, never from a ``Fraction``.  A
 ``RatInterval`` is built only at the public entries ``pi_enclosure``,
-``zeta_enclosure`` and ``threshold_enclosure``.  ``decide`` takes an
+``zeta_enclosure`` and ``threshold_enclosure``.  ``below`` takes an
 unreduced integer pair (num, den) and tests num * 2^(j+4) against lo * den
 and hi * den, so a compared value is never reduced by a gcd.
 """
@@ -38,49 +39,21 @@ and hi * den, so a compared value is never reduced by a gcd.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
 from .errors import InvalidArgument, PrecisionCapExceeded
-from .exact_arith import Ordering3, RatInterval, as_index, as_rational
+from .exact_arith import RatInterval, as_index, as_rational
 
 SERIES_TERM_CAP = 10**6
 DEFAULT_WIDTH = Fraction(1, 10**30)
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Maximum allowed enclosure width (hi - lo)."""
-
-    target_width: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "target_width", as_rational(self.target_width))
-        if self.target_width <= 0:
-            raise InvalidArgument(f"target width must be > 0, got {self.target_width}")
-
-
-def _target_bits(prec) -> int:
-    """Least k >= 0 with 2^-k <= the target width."""
-    w = (prec if isinstance(prec, Precision) else Precision(prec)).target_width
+def _target_bits(width) -> int:
+    """Least k >= 0 with 2^-k <= the target width, a rational > 0."""
+    w = as_rational(width)
+    if w <= 0:
+        raise InvalidArgument(f"target width must be > 0, got {w}")
     return (-(-w.denominator // w.numerator) - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Enclosure of 2^(alpha+2) / (zeta(alpha+1) * (2^(alpha+1)-1))."""
-
-    alpha: int
-    enclosure: RatInterval
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise InvalidArgument(f"alpha must be >= 1, got {self.alpha}")
-        if not (self.enclosure.lo > 1 and self.enclosure.hi < 2):
-            raise InvalidArgument(
-                f"threshold enclosure must lie strictly inside (1, 2), got {self.enclosure}"
-            )
 
 
 def _check_terms(what: str, terms: int) -> None:
@@ -136,12 +109,12 @@ def _zeta_scaled(s: int, p: int) -> tuple[int, int]:
     return (v - 2) * r_num // r_den, -(-(v + 2) * r_num // r_den)
 
 
-def zeta_enclosure(s: int, prec) -> RatInterval:
+def zeta_enclosure(s: int, width) -> RatInterval:
     """Certified dyadic bracket of zeta(s) for integer s >= 2, width <= the target."""
     s = as_index(s, "s")
     if s < 2:
         raise InvalidArgument(f"zeta enclosure needs integer s >= 2, got {s!r}")
-    j = _target_bits(prec) + 1
+    j = _target_bits(width) + 1
     return _dyadic(*_centred(functools.partial(_zeta_scaled, s), j), j + 4)
 
 
@@ -174,9 +147,9 @@ def _machin(bits: int) -> tuple[int, int, int]:
     return 16 * a - 4 * b, 16 * ea + 4 * eb, k
 
 
-def pi_enclosure(prec) -> RatInterval:
+def pi_enclosure(width) -> RatInterval:
     """Certified dyadic bracket of pi via Machin's formula, width <= the target."""
-    v, e, k = _machin(_target_bits(prec))
+    v, e, k = _machin(_target_bits(width))
     return _dyadic(v - e, v + e, k)
 
 
@@ -208,7 +181,7 @@ def _bracket(alpha: int, j: int) -> tuple[int, int]:
     return _centred(functools.partial(_threshold_scaled, alpha), j)
 
 
-def _threshold_ends(alpha: int, prec) -> tuple[int, int, int]:
+def _threshold_ends(alpha: int, width) -> tuple[int, int, int]:
     """(lo, hi, bits): the threshold bracket mid +- 2^-j as [lo, hi] / 2^bits,
     bits = j + 4, hi - lo = 32, width 2^(1-j) <= the target.
 
@@ -219,7 +192,7 @@ def _threshold_ends(alpha: int, prec) -> tuple[int, int, int]:
     alpha = as_index(alpha, "alpha")
     if alpha < 1:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
-    j = _target_bits(prec) + 1
+    j = _target_bits(width) + 1
     while True:
         lo, hi = _bracket(alpha, j)
         if 1 << (j + 4) < lo and hi < 2 << (j + 4):
@@ -227,18 +200,18 @@ def _threshold_ends(alpha: int, prec) -> tuple[int, int, int]:
         j *= 2
 
 
-def threshold_enclosure(alpha: int, prec=Precision(DEFAULT_WIDTH)) -> Threshold:
-    """Dyadic threshold bracket mid +- 2^-j strictly inside (1, 2), width
-    2^(1-j) <= the target; the bracket ``_threshold_ends`` gives."""
-    enclosure = _dyadic(*_threshold_ends(alpha, prec))  # validates alpha first
-    return Threshold(index(alpha), enclosure)
+def threshold_enclosure(alpha: int, width=DEFAULT_WIDTH) -> RatInterval:
+    """Dyadic bracket mid +- 2^-j of the alpha threshold, strictly inside
+    (1, 2), width 2^(1-j) <= the target; the bracket ``_threshold_ends`` gives."""
+    return _dyadic(*_threshold_ends(alpha, width))
 
 
 _DEFAULT_J = _target_bits(DEFAULT_WIDTH) + 1
 
 
-def decide(num: int, den: int, alpha: int) -> Ordering3:
-    """Certified position of num/den against the alpha threshold.
+def below(num: int, den: int, alpha: int) -> bool:
+    """Whether num/den is certified below the alpha threshold; False means
+    certified above, as the rational never equals the constant.
 
     num and den are ints with den > 0, not necessarily coprime, and alpha is
     an int >= 1; callers validate them, since this runs once per table probe
@@ -253,7 +226,7 @@ def decide(num: int, den: int, alpha: int) -> Ordering3:
         lo, hi = _bracket(alpha, j)
         scaled = num << (j + 4)
         if scaled < lo * den:
-            return Ordering3.BELOW
+            return True
         if scaled > hi * den:
-            return Ordering3.ABOVE
+            return False
         j *= 2

@@ -1,17 +1,20 @@
 """Exact rational arithmetic and rational-interval enclosures.
 
 Rationals are stdlib ``fractions.Fraction`` (arbitrary-size, always
-canonical: reduced, positive denominator).  A ``RatInterval`` is a pair of
-rationals certified, by construction, to bracket some real constant.
-Comparisons against a constant are made by ``constants.decide``, which
-keeps its brackets as integers on a dyadic grid and refines them until it
-can answer with an ``Ordering3``; a ``RatInterval`` is built only at the
-public entries of ``constants``, so no table probe or radical case reads one.
+canonical: reduced, positive denominator).  ``as_rational`` is the one place
+a string becomes a ``Fraction``; it refuses a decimal exponent beyond
++-MAX_DECIMAL_EXPONENT before parsing, since the parse expands 10^exponent
+in full.  A ``RatInterval`` is a pair of rationals certified, by
+construction, to bracket some real constant.  Comparisons against a
+constant are made by ``constants.below``, which keeps its brackets as
+integers on a dyadic grid and refines them until it can answer True or
+False; a ``RatInterval`` is built only at the public entries of
+``constants``, so no table probe or radical case reads one.
 """
 
 from __future__ import annotations
 
-import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
@@ -19,11 +22,28 @@ from operator import index
 
 from .errors import InvalidArgument
 
+# Parsing '1e-2000000' takes about 0.4 s, and the time grows with the
+# exponent.  No alpha serves a width below about 10^-1204000 within the
+# series cap, so the bound refuses no width that some alpha can serve; a
+# width above 10^2000000, which would be served as width 1, is refused too.
+MAX_DECIMAL_EXPONENT = 2_000_000
+
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
 
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions, and numeric strings ('3/4', '1e-30') to Fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        exponent = _EXPONENT_RE.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            # compare the digit count first: int() of a long string is slow
+            if len(digits) > 7 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise InvalidArgument(
+                    f"decimal exponent of {value!r} is beyond +-{MAX_DECIMAL_EXPONENT}"
+                )
     if isinstance(value, (int, str, _RationalABC)):
         try:
             return Fraction(value)
@@ -39,15 +59,6 @@ def as_index(value, name: str) -> int:
         return index(value)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
-
-
-class Ordering3(enum.Enum):
-    """Side of a rational against an irrational threshold, as ``decide``
-    answers it: the rational is never equal to the constant, so a fine
-    enough bracket always puts it strictly below or strictly above."""
-
-    BELOW = "Below"
-    ABOVE = "Above"
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,4 @@ class RatInterval:
 
     def encloses(self, other: "RatInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
 

@@ -131,15 +131,13 @@ class _Sieve:
 
 
 _default_sieve = _Sieve()
-_sieve_swap_lock = threading.Lock()
 
 
 def set_prime_cap(cap: int) -> None:
-    """Replace the sieve cap (count of primes the stream may produce)."""
+    """Replace the sieve cap (count of primes the stream may produce); the
+    rebinding is one atomic store, so of two racing calls the last wins."""
     global _default_sieve
-    with _sieve_swap_lock:
-        sieve = _Sieve(cap)
-        _default_sieve = sieve
+    _default_sieve = _Sieve(cap)
 
 
 def prime_cap() -> int:

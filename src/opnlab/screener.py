@@ -15,7 +15,7 @@ Three layers, from structural to analytic:
 
 Each product is an unreduced integer pair (num, den) from
 ``abundancy._truncated_pair``, decided like the bound-table windows: the
-upper bound by num >= 2 * den, the threshold by ``constants.decide``, which
+upper bound by num >= 2 * den, the threshold by ``constants.below``, which
 cross-multiplies against a certified bracket, finer only if needed.  The
 alpha = 2 screen builds the all-even pair once; each special-prime case
 is that pair times q(q+1) / (q^2+q+1), and at most one of them is ever
@@ -37,9 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abundancy import _check_prime_set, _truncated_pair, sigma
-from .constants import decide
+from .constants import below
 from .errors import InvalidArgument
-from .exact_arith import Ordering3
 from .primes import Factorization
 
 MIN_DISTINCT_PRIMES = 9  # every odd perfect number has at least 9 distinct primes
@@ -171,7 +170,7 @@ def _screen_alpha1(ps) -> ScreenVerdict:
     num, den = _truncated_pair(ps, 1)
     if num >= 2 * den:
         condition = Condition.ALPHA1_UPPER_BOUND
-    elif decide(num, den, 1) is Ordering3.BELOW:
+    elif below(num, den, 1):
         condition = Condition.ALPHA1_LOWER_BOUND
     else:
         return _CONSISTENT
@@ -197,7 +196,7 @@ def _screen_alpha2_combined(ps) -> ScreenVerdict:
         # swap the smallest q's factor (q^2+q+1)/q^2 for (q+1)/q
         if q is not None and num * (q * (q + 1)) < 2 * den * (q * q + q + 1):
             return _CONSISTENT
-    elif decide(num, den, 2) is not Ordering3.BELOW:
+    elif not below(num, den, 2):
         return _CONSISTENT
     # reduce case 2 once and swap each case in as a small reduced fraction:
     # reducing each swapped pair would cost a big-by-big gcd per case

@@ -3,16 +3,14 @@ thresholds, and truncated prime products summed term by term.
 
 Exact ``Fraction`` arithmetic throughout, independent of the library: its
 brackets are this module's own ``Bracket``, whose side test is a plain
-``Fraction`` comparison that returns None for a rational inside the
-bracket.  Only the ``Ordering3`` labels come from the library, so a side
-can be compared with ``decide``'s by identity.
+``Fraction`` comparison answering True (below), False (above) or None
+(inside the bracket), so a decided side compares directly with
+``constants.below``'s bool.  Nothing here imports opnlab.
 """
 
 import functools
 from fractions import Fraction
 from typing import NamedTuple
-
-from opnlab.exact_arith import Ordering3
 
 
 class Bracket(NamedTuple):
@@ -27,12 +25,13 @@ class Bracket(NamedTuple):
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def side(self, q: Fraction) -> Ordering3 | None:
-        """Below if q < lo, Above if q > hi, else None: inside the bracket."""
+    def side(self, q: Fraction) -> bool | None:
+        """True (below) if q < lo, False (above) if q > hi, else None:
+        inside the bracket."""
         if q < self.lo:
-            return Ordering3.BELOW
+            return True
         if q > self.hi:
-            return Ordering3.ABOVE
+            return False
         return None
 
 
@@ -108,8 +107,9 @@ def _oracle_bracket(alpha: int, bits: int) -> Bracket:
     return oracle_threshold(alpha, Fraction(1, 2**bits))
 
 
-def oracle_side(q, alpha: int) -> Ordering3:
-    """Certified side of q against the alpha threshold, by the oracles alone.
+def oracle_side(q, alpha: int) -> bool:
+    """Whether q is certified below the alpha threshold (False: above), by
+    the oracles alone.
 
     Starts at width 2^-100 (about 8e-31) and halves the cached oracle width
     until ``Bracket.side`` decides; q is rational and the threshold

@@ -14,7 +14,7 @@ from opnlab.abundancy import (
     truncated_product,
 )
 from opnlab.bound_tables import _PREFIX
-from opnlab.constants import Precision, zeta_enclosure
+from opnlab.constants import zeta_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.exact_arith import RatInterval
 from opnlab.primes import Factorization, factorize, primes_window
@@ -158,7 +158,7 @@ def test_truncation_of_perfect_numbers_is_sandwiched():
     # (2/zeta(2), 2]: dropping the prime 2 requirement means the lower
     # threshold here is 2/zeta(2), and 2 is attained only when every
     # exponent equals 1 (n = 6)
-    z2 = zeta_enclosure(2, Precision(Fraction(1, 10**6)))
+    z2 = zeta_enclosure(2, Fraction(1, 10**6))
     lower = RatInterval(2 / z2.hi, 2 / z2.lo)
     for n in EVEN_PERFECT:
         f = factorize(n)

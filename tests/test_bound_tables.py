@@ -19,9 +19,8 @@ from opnlab.bound_tables import (
     rho,
     rho_limit,
 )
-from opnlab.constants import decide
+from opnlab.constants import below
 from opnlab.errors import InvalidArgument, ResourceLimit
-from opnlab.exact_arith import Ordering3
 from opnlab.primes import DEFAULT_PRIME_CAP, is_prime, nth_prime, primes_window, set_prime_cap
 from oracles import oracle_side, truncated_product
 
@@ -50,7 +49,7 @@ def rho_oracle(k, m, r, alpha=1):
 
 def naive_scan(k, m, alpha=1):
     r = 2
-    while oracle_side(rho_oracle(k, m, r, alpha), alpha) is not Ordering3.BELOW:
+    while not oracle_side(rho_oracle(k, m, r, alpha), alpha):
         r += 1
     return r
 
@@ -255,10 +254,10 @@ def test_find_matches_naive_scan_spot():
 def test_find_is_the_first_certified_below_window(k, m, alpha):
     r = find_I(k, m, alpha)
     q = rho(k, m, r, alpha)
-    assert decide(q.numerator, q.denominator, alpha) is Ordering3.BELOW
+    assert below(q.numerator, q.denominator, alpha)
     if r > 2:
         q = rho(k, m, r - 1, alpha)
-        assert decide(q.numerator, q.denominator, alpha) is not Ordering3.BELOW
+        assert not below(q.numerator, q.denominator, alpha)
 
 
 def test_find_raises_resource_limit_where_the_scan_does():
@@ -280,8 +279,8 @@ def test_find_raises_resource_limit_where_the_scan_does():
 def test_find_certified_sidedness():
     for k in (1, 2, 3):
         r_star = find_I(k, 9)
-        assert oracle_side(rho(k, 9, r_star), 1) is Ordering3.BELOW
-        assert oracle_side(rho(k, 9, r_star - 1), 1) is Ordering3.ABOVE
+        assert oracle_side(rho(k, 9, r_star), 1)
+        assert not oracle_side(rho(k, 9, r_star - 1), 1)
 
 
 def test_every_prefix_is_below_every_threshold():
@@ -289,7 +288,7 @@ def test_every_prefix_is_below_every_threshold():
     # 2 * prod_{p odd} (1 - p^-(alpha+1)) rises with alpha
     for prefix in _PREFIX.values():
         for alpha in range(1, 13):
-            assert decide(*prefix, alpha) is Ordering3.BELOW
+            assert below(*prefix, alpha)
 
 
 def test_find_is_monotone_in_m():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from opnlab import cli, primes, screener
 from opnlab.cli import MAX_DECIMAL_DIGITS, _certified_digits, decimal_str, main, parse_factorization
-from opnlab.constants import Precision, threshold_enclosure
+from opnlab.constants import threshold_enclosure
 from opnlab.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden" / "table_m9_m20_alpha1.csv"
@@ -319,6 +320,19 @@ def test_constants_zeta_default_width_is_in_reach():
 def test_constants_rejects_bad_width():
     assert run_cli("constants", "--width", "0").returncode == 2
     assert run_cli("constants", "--width", "nope").returncode == 2
+    # a decimal exponent past the bound fails at once, naming the bound;
+    # parsing 1e-60000000 in full takes over a minute
+    for width in ("1e-60000000", "1e60000000"):
+        start = time.monotonic()
+        done = run_cli("constants", "--width", width)
+        assert time.monotonic() - start < 5
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.count(b"\n") == 1 and b"2000000" in done.stderr
+    # the bound itself parses; no alpha serves that width within the series cap
+    done = run_cli("constants", "--width", "1e-2000000")
+    assert done.returncode == 2
+    assert done.stderr.endswith(b"series terms\n")
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1"])
@@ -334,7 +348,7 @@ def _constants_oracle(alpha: int, width: Fraction, fmt: str) -> str:
     """The constants output built from the public enclosure with Fraction
     arithmetic: lo, hi and width in lowest terms, and the midpoint by long
     division to d + 1 places, d the least with 10^-d <= width (capped)."""
-    iv = threshold_enclosure(alpha, Precision(width)).enclosure
+    iv = threshold_enclosure(alpha, width)
     d = 0
     while d < MAX_DECIMAL_DIGITS and Fraction(1, 10**d) > width:
         d += 1

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from opnlab import abundancy, primes, screener
 from opnlab.abundancy import truncated_product
-from opnlab.constants import Precision, threshold_enclosure
+from opnlab.constants import threshold_enclosure
 from opnlab.errors import InvalidArgument, ResourceLimit
-from opnlab.exact_arith import Ordering3
 from opnlab.primes import Factorization, factorize, primes_window
 from opnlab.screener import (
     Condition,
@@ -153,8 +152,8 @@ def test_nine_prime_alpha1_verdict_matches_oracle():
         assert v.violated_condition is Condition.ALPHA1_UPPER_BOUND
         assert v.witness == value
     else:
-        t = threshold_enclosure(1, Precision(Fraction(1, 10**12)))
-        if value < t.enclosure.lo:
+        t = threshold_enclosure(1, Fraction(1, 10**12))
+        if value < t.lo:
             assert v.violated_condition is Condition.ALPHA1_LOWER_BOUND
         else:
             assert v.outcome is Outcome.CONSISTENT_SO_FAR
@@ -163,8 +162,8 @@ def test_nine_prime_alpha1_verdict_matches_oracle():
 def test_alpha1_side_consistency():
     low = radical_screen([101, 103], Mode.ALPHA1)
     assert low.violated_condition is Condition.ALPHA1_LOWER_BOUND
-    t = threshold_enclosure(1, Precision(Fraction(1, 10**9)))
-    assert low.witness < t.enclosure.lo
+    t = threshold_enclosure(1, Fraction(1, 10**9))
+    assert low.witness < t.lo
 
     high = radical_screen([3, 5, 7, 11, 13], Mode.ALPHA1)
     assert high.violated_condition is Condition.ALPHA1_UPPER_BOUND
@@ -339,7 +338,7 @@ _prime_sets = st.one_of(
 
 
 def _naive_outside(value, alpha):
-    return value >= 2 or oracle_side(value, alpha) is Ordering3.BELOW
+    return value >= 2 or oracle_side(value, alpha)
 
 
 def _naive_verdict(ps, mode):
@@ -391,7 +390,7 @@ def test_no_special_case_is_below_the_threshold_once_case_2_reaches_2():
     # case 1 is case 2 times q(q+1)/(q^2+q+1) >= 30/31, so with case 2 at or
     # above 2 it is at least 60/31; a case 1 below 2 therefore always survives,
     # and a mixed set whose largest case below 2 is refuted cannot exist
-    assert oracle_side(Fraction(60, 31), 2) is Ordering3.ABOVE
+    assert not oracle_side(Fraction(60, 31), 2)
     ps = [3, 5, 13, 17]
     assert alpha2_oracle(ps) >= 2 > alpha2_oracle(ps, special=5) >= Fraction(60, 31)
 
