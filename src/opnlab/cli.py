@@ -12,11 +12,12 @@ min(d, MAX_DECIMAL_DIGITS) + 1 places, where d is the least integer with
 as dyadic fractions reduced by their trailing zero bits, and the decimal
 as a shift of a grid integer.
 
-``main()`` builds its parser once per process, on its first call, and
-dispatches on the parsed subcommand name, so later in-process calls only
-parse their arguments.  Each call sets the sieve cap from OPNLAB_PRIME_CAP,
-or the default when it is unset, and keeps the grown sieve when the cap is
-unchanged.
+``main()`` parses a call with its subcommand's own parser, the one the
+``build_parser()`` tree nests, built on that subcommand's first call.  Only
+a call with no known subcommand, or with arguments that parser does not
+take, builds the tree, which prints the help or usage error.  Each call
+sets the sieve cap from OPNLAB_PRIME_CAP, or the default when it is unset,
+and keeps the grown sieve when the cap is unchanged.
 
 Each subcommand builds its output once as a list of flat records, whose keys
 are the csv columns and the jsonl keys.  csv is a header line plus one row
@@ -301,46 +302,59 @@ def _cmd_constants(args) -> int:
 # --- wiring --------------------------------------------------------------
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("human", "csv", "jsonl"), default="human", help="output format"
-    )
+# subcommand -> (help, *argument specs); a spec is add_argument's (name, keywords)
+_GRAMMAR = {
+    "sigma": (
+        "divisor sum and reciprocal-divisor sum",
+        ("number", dict(help="integer or factorization like 3^3*5*7")),
+    ),
+    "screen": (
+        "run all necessary-condition checks",
+        ("factorization", dict(help="integer or factorization like 3^2*7^2*11^2*13")),
+    ),
+    "radical": (
+        "exponent-free screening on a prime set",
+        ("primes", dict(nargs="+", type=int, help="distinct odd primes")),
+        ("--mode", dict(choices=sorted(_MODES), default="auto")),
+    ),
+    "table": (
+        "bound table for the three smallest prime factors",
+        ("--m-min", dict(type=int, default=9)),
+        ("--m-max", dict(type=int, default=20)),
+        ("--alpha", dict(type=int, default=1)),
+    ),
+    "constants": (
+        "certified threshold enclosure",
+        ("--alpha", dict(type=int, default=1)),
+        ("--width", dict(default="1e-30", help="target enclosure width")),
+    ),
+}
+_FORMAT = "--format", dict(choices=("human", "csv", "jsonl"), default="human", help="output format")
+
+
+def _with_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for name, keywords in (*_GRAMMAR[command][1:], _FORMAT):
+        parser.add_argument(name, **keywords)
+    return parser
+
+
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser ``build_parser`` nests for ``command``, standing alone."""
+    return _with_arguments(argparse.ArgumentParser(prog=f"opnlab {command}"), command)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, shared by every caller: do not modify it."""
+    """Every subcommand's parser nested in one tree, shared by every caller: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="opnlab",
         description="Odd-perfect-number necessary conditions: screening, "
         "divisor sums, certified constants, and prime-factor bound tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sigma", help="divisor sum and reciprocal-divisor sum")
-    p.add_argument("number", help="integer or factorization like 3^3*5*7")
-    _add_format(p)
-
-    p = sub.add_parser("screen", help="run all necessary-condition checks")
-    p.add_argument("factorization", help="integer or factorization like 3^2*7^2*11^2*13")
-    _add_format(p)
-
-    p = sub.add_parser("radical", help="exponent-free screening on a prime set")
-    p.add_argument("primes", nargs="+", type=int, help="distinct odd primes")
-    p.add_argument("--mode", choices=sorted(_MODES), default="auto")
-    _add_format(p)
-
-    p = sub.add_parser("table", help="bound table for the three smallest prime factors")
-    p.add_argument("--m-min", type=int, default=9, dest="m_min")
-    p.add_argument("--m-max", type=int, default=20, dest="m_max")
-    p.add_argument("--alpha", type=int, default=1)
-    _add_format(p)
-
-    p = sub.add_parser("constants", help="certified threshold enclosure")
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--width", default="1e-30", help="target enclosure width")
-    _add_format(p)
-
+    for command, (help_text, *_) in _GRAMMAR.items():
+        _with_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
@@ -348,7 +362,12 @@ def main(argv=None) -> int:
     # sigma of a large prime power (sigma of 3^10000 has 4,772 digits)
     # must print past the default 4,300-digit int-to-str guard
     sys.set_int_max_str_digits(5_000_000)
-    args = build_parser().parse_args(argv)
+    args, extras = None, True
+    if argv and argv[0] in _GRAMMAR:
+        known = argparse.Namespace(command=argv[0])
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:], known)
+    if extras:  # argv is None, names no subcommand, or has extras: the tree parses it
+        args = build_parser().parse_args(argv)
     try:
         cap = int(os.environ.get("OPNLAB_PRIME_CAP", DEFAULT_PRIME_CAP))
         if cap != prime_cap():  # keep the grown sieve when the cap is unchanged

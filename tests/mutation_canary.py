@@ -1,8 +1,8 @@
 """Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
 
 Each mutant breaks a contract the code states: a proven primality bound, an
-outward-rounded enclosure, an exact screening identity, or the exact
-rendering of a certified constant.  For each one the
+outward-rounded enclosure, an exact screening identity, the exact rendering
+of a certified constant, or the command line's parse.  For each one the
 script copies the repository (without ``.git`` and caches) into a temporary
 directory, replaces one line, and runs ``pytest -x -q`` there with a fixed
 hypothesis seed, so every run draws the same examples; the mutant is killed
@@ -94,6 +94,18 @@ MUTANTS = [
         "cli.py",
         "+ _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> bits, digits),",
         "+ _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> (bits - 1), digits),",
+    ),
+    (
+        "main accepts arguments its subcommand's parser does not take",
+        "cli.py",
+        "    if extras:  # argv is None, names no subcommand, or has extras: the tree parses it",
+        "    if extras is True:",
+    ),
+    (
+        "a subcommand's standalone parser is named opnlab, not opnlab <command>",
+        "cli.py",
+        'return _with_arguments(argparse.ArgumentParser(prog=f"opnlab {command}"), command)',
+        'return _with_arguments(argparse.ArgumentParser(prog="opnlab"), command)',
     ),
 ]
 

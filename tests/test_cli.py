@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from opnlab import cli, primes, screener
 from opnlab.cli import MAX_DECIMAL_DIGITS, _certified_digits, decimal_str, main, parse_factorization
 from opnlab.constants import threshold_enclosure
 from opnlab.errors import ParseError
+from opnlab.exact_arith import MAX_MANTISSA_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden" / "table_m9_m20_alpha1.csv"
 
@@ -335,6 +337,21 @@ def test_constants_rejects_bad_width():
     assert done.stderr.endswith(b"series terms\n")
 
 
+def test_constants_refuses_a_long_width_mantissa_at_once(monkeypatch, capsys):
+    # parsing this width in full takes about 4 s
+    monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
+    width = "0." + "7" * 130_000 + "e-2000000"
+    start = time.monotonic()
+    assert main(["constants", "--width", width]) == 2
+    assert time.monotonic() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: cannot parse width: mantissa has 130002 characters, "
+        f"more than {MAX_MANTISSA_LENGTH}\n"
+    )
+
+
 @pytest.mark.parametrize("alpha", ["0", "-1"])
 def test_constants_rejects_alpha_below_one(alpha, monkeypatch, capsys):
     monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
@@ -469,9 +486,13 @@ def test_warm_calls_build_no_parser(monkeypatch, capsys):
 
     monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
     main(["sigma", "28"])
+    # empty caches, so the counts below do not depend on earlier tests
+    for name in ("_command_parser", "build_parser"):
+        monkeypatch.setattr(cli, name, functools.cache(getattr(cli, name).__wrapped__))
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    tree = ["opnlab"] + [f"opnlab {command}" for command in cli._GRAMMAR]
     cli.build_parser.__wrapped__()  # an uncached build: the counter sees all six parsers
-    assert len(built) == 6
+    assert built == tree
     built.clear()
     warm = (
         ["sigma", "28"],
@@ -480,6 +501,71 @@ def test_warm_calls_build_no_parser(monkeypatch, capsys):
         ["table", "--m-min", "9", "--m-max", "9"],
         ["constants", "--width", "1e-10", "--format", "csv"],
     )
+    # a subcommand's first call builds its own parser and nothing else
+    for argv, code in zip(warm, [0, 1, 1, 0, 0]):
+        assert main(list(argv)) == code
+        assert built == [f"opnlab {argv[0]}"]
+        built.clear()
     codes = [main(list(argv)) for argv in warm * 2]
     assert codes == [0, 1, 1, 0, 0] * 2
     assert built == []
+    # help and an unrecognized argument go through the nested tree
+    for argv, code in ((["--help"], 0), (["sigma", "28", "29"], 2)):
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+        assert built == tree
+        built.clear()
+    capsys.readouterr()
+
+
+# argv tokens: the subcommands, an unknown one, help, "--", every option,
+# abbreviations (--m is ambiguous in table), --opt=value forms, valid and
+# invalid values and stray positionals
+_COMMANDS = ["sigma", "screen", "radical", "table", "constants"]
+_TOKENS = _COMMANDS + [
+    "frobnicate", "-h", "--help", "--",
+    "--format", "--mode", "--m-min", "--m-max", "--alpha", "--width",
+    "--alp", "--w", "--m", "--fo",
+    "--format=csv", "--format=xml", "--mode=alpha1", "--alpha=2", "--alp=3", "--width=1e-10",
+    "--m-min=9", "--m-max=x",
+    "csv", "jsonl", "human", "xml", "auto", "alpha2", "1e-10",
+    "3", "5", "7", "9", "28", "-1", "2.5", "x", "3^3*5*7",
+]  # fmt: skip
+
+
+def _parse_outcome(parse, argv):
+    """("ok", vars(namespace)) or ("exit", code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            namespace = parse(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    return ("ok", vars(namespace))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.builds(
+        lambda first, rest: [first, *rest],
+        st.sampled_from(_COMMANDS),
+        st.lists(st.sampled_from(_TOKENS), max_size=4),
+    )
+    | st.lists(st.sampled_from(_TOKENS), max_size=6)
+)
+def test_main_parses_as_the_nested_tree(argv):
+    def main_parse(argv):
+        parsed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("OPNLAB_PRIME_CAP", raising=False)
+            for command in _COMMANDS:
+                mp.setattr(cli, f"_cmd_{command}", lambda args: parsed.append(args) or 0)
+            assert main(list(argv)) == 0
+        (args,) = parsed
+        return args
+
+    assert _parse_outcome(main_parse, argv) == _parse_outcome(
+        cli.build_parser().parse_args, argv
+    )
