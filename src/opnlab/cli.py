@@ -12,12 +12,12 @@ min(d, MAX_DECIMAL_DIGITS) + 1 places, where d is the least integer with
 as dyadic fractions reduced by their trailing zero bits, and the decimal
 as a shift of a grid integer.
 
-``main()`` parses a call with its subcommand's own parser, the one the
-``build_parser()`` tree nests, built on that subcommand's first call.  Only
-a call with no known subcommand, or with arguments that parser does not
-take, builds the tree, which prints the help or usage error.  Each call
-sets the sieve cap from OPNLAB_PRIME_CAP, or the default when it is unset,
-and keeps the grown sieve when the cap is unchanged.
+``main()`` reads a plain call straight from the grammar table, building no
+parser and importing no argparse.  Any other call (help, a usage error, an
+abbreviated or ``--opt=value`` form) goes to the ``build_parser()`` argparse
+tree, which the plain reading must equal.  Each call sets the sieve cap from
+OPNLAB_PRIME_CAP, or the default when it is unset, and keeps the grown sieve
+when the cap is unchanged.
 
 Each subcommand builds its output once as a list of flat records, whose keys
 are the csv columns and the jsonl keys.  csv is a header line plus one row
@@ -29,7 +29,6 @@ field (radical's ``primes``) appears in jsonl only.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -37,11 +36,12 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import bound_tables, screener
 from .abundancy import abundancy_report
 from .constants import _threshold_ends
-from .errors import OpnlabError, ParseError
+from .errors import OpnlabError, ParseError, _quoted
 from .exact_arith import as_rational
 from .primes import DEFAULT_PRIME_CAP, Factorization, factorize, prime_cap, set_prime_cap
 
@@ -91,7 +91,7 @@ def parse_factorization(text: str) -> Factorization:
     for part in compact.split("*"):
         m = _FACTOR_RE.match(part)
         if not m:
-            raise ParseError(f"cannot parse factor {part!r}")
+            raise ParseError(f"cannot parse factor {_quoted(part)}")
         pairs.append((int(m.group(1)), int(m.group(2) or 1)))
     return Factorization.from_pairs(pairs)
 
@@ -102,7 +102,7 @@ def parse_width(text: str) -> Fraction:
     except OpnlabError as exc:
         raise ParseError(f"cannot parse width: {exc}") from exc
     if width <= 0:
-        raise ParseError(f"width must be > 0, got {text!r}")
+        raise ParseError(f"width must be > 0, got {_quoted(text)}")
     return width
 
 
@@ -332,29 +332,69 @@ _GRAMMAR = {
 _FORMAT = "--format", dict(choices=("human", "csv", "jsonl"), default="human", help="output format")
 
 
-def _with_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for name, keywords in (*_GRAMMAR[command][1:], _FORMAT):
-        parser.add_argument(name, **keywords)
-    return parser
+# keywords _plain_call reads as argparse does; any other, nargs other than "+"
+# on a positional, or a str default with a type (argparse converts it) it leaves
+_PLAIN_KEYWORDS = {"help", "type", "choices", "default", "nargs"}
+
+
+def _plain_call(argv):
+    """What ``build_parser().parse_args(argv)`` returns, read straight from
+    ``_GRAMMAR``, when ``argv`` is a subcommand, then its options each by
+    full name with a value not starting with '-', and one unbroken run of
+    non-empty positionals; None for any other call."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    specs = dict((*_GRAMMAR[argv[0]][1:], _FORMAT))
+    given, run, closed, tokens = {}, [], False, iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            value = next(tokens, "-")  # a missing value fails as one starting with '-'
+            if token not in specs or value.startswith("-"):
+                return None
+            given.setdefault(token, []).append(value)
+            closed = bool(run)  # a positional after this would split the run
+        elif token and not closed:
+            run.append(token)
+        else:
+            return None
+    args = SimpleNamespace(command=argv[0])
+    for name, keywords in specs.items():
+        default, plural = keywords.get("default"), keywords.get("nargs") == "+"
+        option, dest = name.startswith("-"), name.lstrip("-").replace("-", "_")
+        if keywords.keys() - _PLAIN_KEYWORDS or keywords.get("nargs", "+") != "+" or (
+            plural and option or isinstance(default, str) and "type" in keywords
+        ):
+            return None
+        strings, run = (given.get(name, ()), run) if option else (run, [])
+        if not (option or len(strings) == 1 or plural and strings):
+            return None
+        try:
+            values = [keywords.get("type", str)(s) for s in strings]
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and any(v not in keywords["choices"] for v in values):
+            return None
+        # an option not given takes its default; of several, the last one wins
+        setattr(args, dest, values if plural else (values or [default])[-1])
+    return None if run else args  # a run no positional takes
 
 
 @functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser ``build_parser`` nests for ``command``, standing alone."""
-    return _with_arguments(argparse.ArgumentParser(prog=f"opnlab {command}"), command)
+def build_parser():
+    """Every subcommand's parser nested in one argparse tree, shared by every
+    caller: do not modify it.  ``main()`` parses with it what ``_plain_call`` does not."""
+    import argparse
 
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Every subcommand's parser nested in one tree, shared by every caller: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="opnlab",
         description="Odd-perfect-number necessary conditions: screening, "
         "divisor sums, certified constants, and prime-factor bound tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, *_) in _GRAMMAR.items():
-        _with_arguments(sub.add_parser(command, help=help_text), command)
+    for command, (help_text, *specs) in _GRAMMAR.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, keywords in (*specs, _FORMAT):
+            command_parser.add_argument(name, **keywords)
     return parser
 
 
@@ -362,12 +402,8 @@ def main(argv=None) -> int:
     # sigma of a large prime power (sigma of 3^10000 has 4,772 digits)
     # must print past the default 4,300-digit int-to-str guard
     sys.set_int_max_str_digits(5_000_000)
-    args, extras = None, True
-    if argv and argv[0] in _GRAMMAR:
-        known = argparse.Namespace(command=argv[0])
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:], known)
-    if extras:  # argv is None, names no subcommand, or has extras: the tree parses it
-        args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_call(argv) or build_parser().parse_args(argv)
     try:
         cap = int(os.environ.get("OPNLAB_PRIME_CAP", DEFAULT_PRIME_CAP))
         if cap != prime_cap():  # keep the grown sieve when the cap is unchanged

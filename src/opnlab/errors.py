@@ -20,3 +20,16 @@ class PrecisionCapExceeded(OpnlabError):
 
 class ParseError(OpnlabError):
     """Command-line input could not be parsed."""
+
+
+# an error message quotes at most this many characters of a string input, so
+# it stays one short line however long the input is
+_QUOTED_CHARS = 100
+
+
+def _quoted(value) -> str:
+    """repr(value), but of a string longer than _QUOTED_CHARS only the head,
+    followed by its length."""
+    if isinstance(value, str) and len(value) > _QUOTED_CHARS:
+        return f"{value[:_QUOTED_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)

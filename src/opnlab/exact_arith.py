@@ -22,7 +22,7 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 from operator import index
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _quoted
 
 # Parsing '1e-2000000' takes about 0.4 s, and the time grows with the
 # exponent.  No alpha serves a width below about 10^-1204000 within the
@@ -49,7 +49,7 @@ def as_rational(value) -> Fraction:
             # compare the digit count first: int() of a long string is slow
             if len(digits) > 7 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
                 raise InvalidArgument(
-                    f"decimal exponent of {value!r} is beyond +-{MAX_DECIMAL_EXPONENT}"
+                    f"decimal exponent of {_quoted(value)} is beyond +-{MAX_DECIMAL_EXPONENT}"
                 )
         length = exponent.start() if exponent else len(value)
         if length > MAX_MANTISSA_LENGTH:
@@ -60,7 +60,7 @@ def as_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidArgument(f"not a rational: {value!r}") from exc
+            raise InvalidArgument(f"not a rational: {_quoted(value)}") from exc
     raise InvalidArgument(f"not a rational: {value!r}")
 
 

@@ -96,16 +96,22 @@ MUTANTS = [
         "+ _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> (bits - 1), digits),",
     ),
     (
-        "main accepts arguments its subcommand's parser does not take",
+        "the plain reading skips the choices check",
         "cli.py",
-        "    if extras:  # argv is None, names no subcommand, or has extras: the tree parses it",
-        "    if extras is True:",
+        'if "choices" in keywords and any(v not in keywords["choices"] for v in values):',
+        "if False:",
     ),
     (
-        "a subcommand's standalone parser is named opnlab, not opnlab <command>",
+        "the plain reading takes an option's value that starts with '-'",
         "cli.py",
-        'return _with_arguments(argparse.ArgumentParser(prog=f"opnlab {command}"), command)',
-        'return _with_arguments(argparse.ArgumentParser(prog="opnlab"), command)',
+        'if token not in specs or value.startswith("-"):',
+        "if token not in specs:",
+    ),
+    (
+        "the plain reading joins a positional run split by an option",
+        "cli.py",
+        "elif token and not closed:",
+        "elif token:",
     ),
 ]
 

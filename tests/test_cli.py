@@ -452,6 +452,25 @@ def test_sigma_factorization_errors_name_the_fault(text, message, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, quoted",
+    [
+        # the exponent bound, an unparsable factor, a width of 0, a non-rational width
+        (["constants", "--width", "0." + "7" * 130_000 + "e-60000000"], "'0.777"),
+        (["sigma", "x" * 100_000], "cannot parse factor 'xxx"),
+        (["constants", "--width", "0e-" + "0" * 100_000], "got '0e-000"),
+        (["constants", "--width", "xe-" + "0" * 100_000], "not a rational: 'xe-000"),
+    ],
+)
+def test_an_error_quotes_a_long_input_in_one_short_line(argv, quoted, monkeypatch, capsys):
+    monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 250
+    assert quoted in err and f"... ({len(argv[-1])} characters)" in err
+
+
 def test_prime_cap_env_does_not_leak_across_calls(monkeypatch, capsys):
     monkeypatch.setenv("OPNLAB_PRIME_CAP", "50")
     assert main(["table", "--format", "csv"]) == 2
@@ -485,44 +504,61 @@ def test_warm_calls_build_no_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
-    main(["sigma", "28"])
-    # empty caches, so the counts below do not depend on earlier tests
-    for name in ("_command_parser", "build_parser"):
-        monkeypatch.setattr(cli, name, functools.cache(getattr(cli, name).__wrapped__))
+    # an empty cache, so the counts below do not depend on earlier tests
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     tree = ["opnlab"] + [f"opnlab {command}" for command in cli._GRAMMAR]
     cli.build_parser.__wrapped__()  # an uncached build: the counter sees all six parsers
     assert built == tree
     built.clear()
-    warm = (
+    plain = (
         ["sigma", "28"],
         ["screen", "945"],
         ["radical", "3", "5", "7", "--mode", "alpha2"],
         ["table", "--m-min", "9", "--m-max", "9"],
         ["constants", "--width", "1e-10", "--format", "csv"],
     )
-    # a subcommand's first call builds its own parser and nothing else
-    for argv, code in zip(warm, [0, 1, 1, 0, 0]):
-        assert main(list(argv)) == code
-        assert built == [f"opnlab {argv[0]}"]
-        built.clear()
-    codes = [main(list(argv)) for argv in warm * 2]
-    assert codes == [0, 1, 1, 0, 0] * 2
+    # each subcommand's first call, and every warm call, builds no parser
+    codes = [main(list(argv)) for argv in plain * 3]
+    assert codes == [0, 1, 1, 0, 0] * 3
     assert built == []
-    # help and an unrecognized argument go through the nested tree
-    for argv, code in ((["--help"], 0), (["sigma", "28", "29"], 2)):
+    # help, an unrecognized argument and an abbreviation go through the nested tree
+    tree_calls = ((["--help"], 0), (["sigma", "28", "29"], 2), (["constants", "--alp", "2"], 0))
+    for argv, code in tree_calls:
         cli.build_parser.cache_clear()
-        with pytest.raises(SystemExit) as exit_:
-            main(argv)
-        assert exit_.value.code == code
+        try:
+            result = main(argv)
+        except SystemExit as exit_:
+            result = exit_.code
+        assert result == code
         assert built == tree
         built.clear()
     capsys.readouterr()
 
 
+def test_the_entry_point_reads_sys_argv_and_imports_no_argparse():
+    # the opnlab script and python -m opnlab.cli call main() with no argv
+    argv = ["constants", "--alpha", "1", "--width", "1e-10", "--format", "csv"]
+    script = (
+        "import sys\n"
+        f"sys.argv = ['opnlab', *{argv!r}]\n"
+        "from opnlab.cli import main\n"
+        "code = main()\n"
+        "print(code, sorted({'argparse', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    env = os.environ.copy()
+    env.pop("OPNLAB_PRIME_CAP", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    golden = json.loads((GOLDEN.parent / "cli_outputs.json").read_text())
+    (case,) = [case for case in golden if case["argv"] == argv]
+    assert proc.stdout.decode() == case["stdout"]
+    assert proc.stderr == b"0 []\n"
+
+
 # argv tokens: the subcommands, an unknown one, help, "--", every option,
 # abbreviations (--m is ambiguous in table), --opt=value forms, valid and
-# invalid values and stray positionals
+# invalid values, stray positionals, and tokens at the edges of the plain
+# form: empty, a bare "-", a negative number, a leading space, a digit group
 _COMMANDS = ["sigma", "screen", "radical", "table", "constants"]
 _TOKENS = _COMMANDS + [
     "frobnicate", "-h", "--help", "--",
@@ -532,6 +568,7 @@ _TOKENS = _COMMANDS + [
     "--m-min=9", "--m-max=x",
     "csv", "jsonl", "human", "xml", "auto", "alpha2", "1e-10",
     "3", "5", "7", "9", "28", "-1", "2.5", "x", "3^3*5*7",
+    "", "-", "-3", " 3", "1_0",
 ]  # fmt: skip
 
 
@@ -546,6 +583,18 @@ def _parse_outcome(parse, argv):
     return ("ok", vars(namespace))
 
 
+def _main_parse(argv):
+    """The namespace main() hands its subcommand, or main()'s SystemExit."""
+    parsed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("OPNLAB_PRIME_CAP", raising=False)
+        for command in _COMMANDS:
+            mp.setattr(cli, f"_cmd_{command}", lambda args: parsed.append(args) or 0)
+        assert main(list(argv)) == 0
+    (args,) = parsed
+    return args
+
+
 @settings(max_examples=1000, deadline=None)
 @given(
     st.builds(
@@ -556,16 +605,36 @@ def _parse_outcome(parse, argv):
     | st.lists(st.sampled_from(_TOKENS), max_size=6)
 )
 def test_main_parses_as_the_nested_tree(argv):
-    def main_parse(argv):
-        parsed = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv("OPNLAB_PRIME_CAP", raising=False)
-            for command in _COMMANDS:
-                mp.setattr(cli, f"_cmd_{command}", lambda args: parsed.append(args) or 0)
-            assert main(list(argv)) == 0
-        (args,) = parsed
-        return args
+    assert _parse_outcome(_main_parse, argv) == _parse_outcome(
+        cli.build_parser().parse_args, argv
+    )
 
-    assert _parse_outcome(main_parse, argv) == _parse_outcome(
+
+# calls at the edges of the plain form, which the test above draws rarely
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an option's value missing, or starting with '-'
+        ["constants", "--width"],
+        ["constants", "--width", "--alpha", "2"],
+        ["constants", "--width", "--"],
+        ["constants", "--width", "-1"],
+        ["radical", "3", "--mode", "-"],
+        # positionals split by an option, or after one
+        ["radical", "3", "--mode", "auto", "5"],
+        ["sigma", "28", "--format", "csv", "29"],
+        ["radical", "--mode", "alpha1", "3", "5", "--format", "csv"],
+        # a value outside the choices or the type, also before a repeat
+        ["constants", "--format", "xml"],
+        ["constants", "--format", "xml", "--format", "csv"],
+        ["constants", "--alpha", "2.5", "--alpha", "3"],
+        ["table", "--m-min", "10", "--m-min", "9", "--alpha", "1_0"],
+        # empty tokens
+        ["sigma", ""],
+        ["constants", "--width", ""],
+    ],
+)
+def test_edge_calls_parse_as_the_nested_tree(argv):
+    assert _parse_outcome(_main_parse, argv) == _parse_outcome(
         cli.build_parser().parse_args, argv
     )
