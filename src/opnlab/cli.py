@@ -15,9 +15,11 @@ as a shift of a grid integer.
 ``main()`` reads a plain call straight from the grammar table, building no
 parser and importing no argparse.  Any other call (help, a usage error, an
 abbreviated or ``--opt=value`` form) goes to the ``build_parser()`` argparse
-tree, which the plain reading must equal.  Each call sets the sieve cap from
-OPNLAB_PRIME_CAP, or the default when it is unset, and keeps the grown sieve
-when the cap is unchanged.
+tree, which the plain reading must equal.  A call imports only the modules
+its command uses.  Each sigma, screen, radical and table call sets the sieve
+cap from OPNLAB_PRIME_CAP, or the default when it is unset, and keeps the
+grown sieve when the cap is unchanged; constants has no sieve and does not
+read the variable.
 
 Each subcommand builds its output once as a list of flat records, whose keys
 are the csv columns and the jsonl keys.  csv is a header line plus one row
@@ -30,20 +32,15 @@ field (radical's ``primes``) appears in jsonl only.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import bound_tables, screener
-from .abundancy import abundancy_report
 from .constants import _threshold_ends
 from .errors import OpnlabError, ParseError, _quoted
 from .exact_arith import as_rational
-from .primes import DEFAULT_PRIME_CAP, Factorization, factorize, prime_cap, set_prime_cap
 
 SIGMA_DECIMAL_DIGITS = 12
 MAX_DECIMAL_DIGITS = 10_000  # certified places shown by ``constants``, before its display digit
@@ -80,8 +77,11 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_factorization(text: str) -> Factorization:
-    """Parse 'n' (auto-factorized) or explicit 'p^e*p^e*...' ('^e' optional)."""
+def parse_factorization(text: str):
+    """Parse 'n' (auto-factorized) or explicit 'p^e*p^e*...' ('^e' optional)
+    into a ``primes.Factorization``."""
+    from .primes import Factorization, factorize
+
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty factorization")
@@ -141,6 +141,8 @@ def _render(fmt: str, records: list[dict], human) -> None:
         lines = [",".join(columns)]
         lines.extend(",".join(_cell(r[k]) for k in columns) for r in records)
     elif fmt == "jsonl":
+        import json
+
         lines = [json.dumps(r) for r in records]
     else:
         lines = human(records)
@@ -163,6 +165,8 @@ def _sigma_lines(records) -> list[str]:
 
 
 def _cmd_sigma(args) -> int:
+    from .abundancy import abundancy_report
+
     f = parse_factorization(args.number)
     report = abundancy_report(f)
     record = {
@@ -182,7 +186,8 @@ def _cmd_sigma(args) -> int:
 _CHECK_NAMES = ("eulerian_form", "perfect", "radical")
 
 
-def _verdict_fields(v: screener.ScreenVerdict) -> dict:
+def _verdict_fields(v) -> dict:
+    """The fields of a ``screener.ScreenVerdict``."""
     w = v.witness
     return {
         "outcome": v.outcome.value,
@@ -202,6 +207,8 @@ def _verdict_line(name: str, r: dict) -> str:
 
 
 def _cmd_screen(args) -> int:
+    from . import screener
+
     f = parse_factorization(args.factorization)
     verdicts = screener.full_screen(f)
     records = [
@@ -213,11 +220,8 @@ def _cmd_screen(args) -> int:
 
 # --- radical -------------------------------------------------------------
 
-_MODES = {
-    "auto": screener.Mode.AUTO,
-    "alpha1": screener.Mode.ALPHA1,
-    "alpha2": screener.Mode.ALPHA2_CASE1,
-}
+# --mode value -> the name of its ``screener.Mode`` member
+_MODES = {"auto": "AUTO", "alpha1": "ALPHA1", "alpha2": "ALPHA2_CASE1"}
 
 
 def _radical_lines(records) -> list[str]:
@@ -234,7 +238,9 @@ def _radical_lines(records) -> list[str]:
 
 
 def _cmd_radical(args) -> int:
-    verdict = screener.radical_screen(args.primes, _MODES[args.mode])
+    from . import screener
+
+    verdict = screener.radical_screen(args.primes, screener.Mode[_MODES[args.mode]])
     record = {
         "mode": args.mode,
         "primes": list(args.primes),
@@ -255,6 +261,10 @@ def _table_lines(records) -> list[str]:
 
 
 def _cmd_table(args) -> int:
+    from dataclasses import asdict
+
+    from . import bound_tables
+
     rows = bound_tables.generate_table(args.m_min, args.m_max, args.alpha)
     _render(args.format, [asdict(r) for r in rows], _table_lines)
     return 0
@@ -404,13 +414,16 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(5_000_000)
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_call(argv) or build_parser().parse_args(argv)
-    try:
-        cap = int(os.environ.get("OPNLAB_PRIME_CAP", DEFAULT_PRIME_CAP))
-        if cap != prime_cap():  # keep the grown sieve when the cap is unchanged
-            set_prime_cap(cap)
-    except (ValueError, OpnlabError) as exc:
-        print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
-        return 2
+    if args.command != "constants":  # the one command with no sieve
+        from . import primes
+
+        try:
+            cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
+            if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
+                primes.set_prime_cap(cap)
+        except (ValueError, OpnlabError) as exc:
+            print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
+            return 2
     try:
         return globals()["_cmd_" + args.command](args)
     except OpnlabError as exc:

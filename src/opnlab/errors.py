@@ -22,8 +22,8 @@ class ParseError(OpnlabError):
     """Command-line input could not be parsed."""
 
 
-# an error message quotes at most this many characters of a string input, so
-# it stays one short line however long the input is
+# an error message quotes at most this many characters of a string input, or
+# digits of an integer, so it stays one short line however long the input is
 _QUOTED_CHARS = 100
 
 
@@ -33,3 +33,17 @@ def _quoted(value) -> str:
     if isinstance(value, str) and len(value) > _QUOTED_CHARS:
         return f"{value[:_QUOTED_CHARS]!r}... ({len(value)} characters)"
     return repr(value)
+
+
+def _digits(n: int) -> str:
+    """str(n) of n >= 0, but of n longer than _QUOTED_CHARS digits only the
+    head, followed by its digit count.  No str() sees more than about
+    _QUOTED_CHARS digits, so a long n prints under Python's default
+    4,300-digit limit on int-to-str conversion."""
+    # n has more than (bits - 1) * log10(2) digits, so n // 10**skip keeps
+    # about _QUOTED_CHARS + 1 of them
+    skip = max(0, n.bit_length() * 30103 // 100_000 - _QUOTED_CHARS - 1)
+    head = str(n // 10**skip)
+    if skip + len(head) <= _QUOTED_CHARS:
+        return head
+    return f"{head[:_QUOTED_CHARS]}... ({skip + len(head)} digits)"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 
-from .errors import InvalidArgument, ResourceLimit
+from .errors import InvalidArgument, ResourceLimit, _digits
 from .exact_arith import as_index
 
 DEFAULT_PRIME_CAP = 10**6  # how many primes the sieve may generate
@@ -315,7 +315,7 @@ def factorize(n: int) -> Factorization:
                 pairs.append((residual, 1))
                 break
             raise ResourceLimit(
-                f"residual cofactor {residual} exceeds the trial-division budget"
+                f"residual cofactor {_digits(residual)} exceeds the trial-division budget"
             )
         sieve.ensure_count(idx + 1)
         p = sieve.primes[idx]

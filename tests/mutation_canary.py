@@ -2,13 +2,13 @@
 
 Each mutant breaks a contract the code states: a proven primality bound, an
 outward-rounded enclosure, an exact screening identity, the exact rendering
-of a certified constant, or the command line's parse.  For each one the
-script copies the repository (without ``.git`` and caches) into a temporary
-directory, replaces one line, and runs ``pytest -x -q`` there with a fixed
-hypothesis seed, so every run draws the same examples; the mutant is killed
-when pytest reports a failing test (exit 1).  The unmutated copy runs
-first and must pass, so a suite that is already broken cannot kill anything
-by accident.
+of a certified constant, the command line's parse, or the modules a call
+loads.  For each one the script copies the repository (without ``.git`` and
+caches) into a temporary directory, replaces one line, and runs ``pytest -x
+-q`` there with a fixed hypothesis seed, so every run draws the same
+examples; the mutant is killed when pytest reports a failing test (exit 1).
+The unmutated copy runs first and must pass, so a suite that is already
+broken cannot kill anything by accident.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -112,6 +112,12 @@ MUTANTS = [
         "cli.py",
         "elif token and not closed:",
         "elif token:",
+    ),
+    (
+        "the command line imports the sieve at its top",
+        "cli.py",
+        "from .exact_arith import as_rational",
+        "from .exact_arith import as_rational; from . import primes",
     ),
 ]
 

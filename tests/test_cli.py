@@ -471,6 +471,34 @@ def test_an_error_quotes_a_long_input_in_one_short_line(argv, quoted, monkeypatc
     assert quoted in err and f"... ({len(argv[-1])} characters)" in err
 
 
+def _golden_stdout(argv) -> str:
+    golden = json.loads((GOLDEN.parent / "cli_outputs.json").read_text())
+    (case,) = [case for case in golden if case["argv"] == argv]
+    return case["stdout"]
+
+
+def test_only_a_sieve_command_reads_the_prime_cap(monkeypatch, capsys):
+    argv = ["constants", "--alpha", "1", "--width", "1e-10", "--format", "csv"]
+    monkeypatch.setenv("OPNLAB_PRIME_CAP", "junk")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_golden_stdout(argv), "")
+    assert main(["sigma", "945"]) == 2
+    message = "invalid literal for int() with base 10: 'junk'"
+    assert capsys.readouterr() == ("", f"error: bad OPNLAB_PRIME_CAP: {message}\n")
+
+
+def test_a_long_residual_cofactor_is_quoted_in_one_short_line(monkeypatch, capsys):
+    monkeypatch.setenv("OPNLAB_PRIME_CAP", "50")
+    try:
+        assert main(["sigma", "1" * 1000]) == 2
+    finally:
+        primes.set_prime_cap(primes.DEFAULT_PRIME_CAP)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: residual cofactor ") and err.count("\n") == 1
+    assert len(err) < 250 and " digits) exceeds the trial-division budget" in err
+
+
 def test_prime_cap_env_does_not_leak_across_calls(monkeypatch, capsys):
     monkeypatch.setenv("OPNLAB_PRIME_CAP", "50")
     assert main(["table", "--format", "csv"]) == 2
@@ -545,14 +573,15 @@ def test_the_entry_point_reads_sys_argv_and_imports_no_argparse():
         "from opnlab.cli import main\n"
         "code = main()\n"
         "print(code, sorted({'argparse', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('opnlab')), file=sys.stderr)\n"
     )
     env = os.environ.copy()
     env.pop("OPNLAB_PRIME_CAP", None)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
-    golden = json.loads((GOLDEN.parent / "cli_outputs.json").read_text())
-    (case,) = [case for case in golden if case["argv"] == argv]
-    assert proc.stdout.decode() == case["stdout"]
-    assert proc.stderr == b"0 []\n"
+    assert proc.stdout.decode() == _golden_stdout(argv)
+    # constants needs no sieve, screener, abundancy or table module
+    modules = ["opnlab", "opnlab.cli", "opnlab.constants", "opnlab.errors", "opnlab.exact_arith"]
+    assert proc.stderr.decode() == f"0 []\n{modules}\n"
 
 
 # argv tokens: the subcommands, an unknown one, help, "--", every option,

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -394,3 +395,27 @@ def test_factorize_budget_exhaustion():
         assert factorize(2 * 1000003).factors == ((2, 1), (1000003, 1))
     finally:
         set_prime_cap(DEFAULT_PRIME_CAP)
+
+
+def test_a_long_residual_is_quoted_by_its_head():
+    n = (10**4400 - 1) // 9
+    residual = n
+    for p in range(2, 100):  # the 25-prime budget: every prime below 100
+        while residual % p == 0:
+            residual //= p
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        text = str(residual)
+        # Python's default limit, which the command line lifts but a library caller keeps
+        sys.set_int_max_str_digits(4300)
+        set_prime_cap(25)
+        with pytest.raises(ResourceLimit) as info:
+            factorize(n)
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
+        sys.set_int_max_str_digits(limit)
+    assert len(text) > 4300
+    assert str(info.value) == (
+        f"residual cofactor {text[:100]}... ({len(text)} digits) exceeds the trial-division budget"
+    )
