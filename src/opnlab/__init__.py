@@ -14,15 +14,15 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports
 _EXPORTS = {
-    "abundancy": "AbundancyReport Classification abundancy_report geometric_split_check "
-    "sigma sigma_minus_one truncated_product",
+    "abundancy": "AbundancyReport Classification abundancy_report sigma sigma_minus_one "
+    "truncated_product",
     "bound_tables": "BoundTableRow find_I generate_table perisastri_bound rho rho_limit",
     "constants": "DEFAULT_WIDTH pi_enclosure threshold_enclosure zeta_enclosure",
     "errors": "InvalidArgument OpnlabError ParseError PrecisionCapExceeded ResourceLimit",
     "exact_arith": "RatInterval",
     "primes": "Factorization factorize is_prime nth_prime prime_cap primes_window set_prime_cap",
-    "screener": "Condition EulerForm Mode Outcome ScreenVerdict euler_form_check full_screen "
-    "perfect_check radical_screen to_euler_form",
+    "screener": "Condition Mode Outcome ScreenVerdict euler_form_check full_screen "
+    "perfect_check radical_screen",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -11,13 +11,12 @@ possible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
 from .errors import InvalidArgument
-from .exact_arith import as_index
-from .primes import Factorization, _first_nonprime, is_prime
+from .exact_arith import Record, as_index
+from .primes import Factorization, _first_nonprime
 
 
 class Classification(enum.Enum):
@@ -26,16 +25,15 @@ class Classification(enum.Enum):
     ABUNDANT = "Abundant"
 
 
-@dataclass(frozen=True)
-class AbundancyReport:
-    n: int
-    sigma: int
-    sigma_minus_one: Fraction
-    classification: Classification
+class AbundancyReport(Record):
+    """sigma(n), the reciprocal-divisor sum sigma(n)/n and the class of n."""
 
-    def __post_init__(self):
-        if self.sigma_minus_one * self.n != self.sigma:
-            raise InvalidArgument("sigma_minus_one must equal sigma/n exactly")
+    __slots__ = ("n", "sigma", "sigma_minus_one", "classification")
+
+    def __init__(
+        self, n: int, sigma: int, sigma_minus_one: Fraction, classification: Classification
+    ):
+        Record.__init__(self, n, sigma, sigma_minus_one, classification)
 
 
 def sigma(f: Factorization) -> int:
@@ -100,24 +98,3 @@ def truncated_product(primes, alpha: int) -> Fraction:
         raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
     return Fraction(*_truncated_pair(_check_prime_set(primes), alpha))
 
-
-def geometric_split_check(p: int, h: int, alpha: int) -> bool:
-    """Verify the block split of a truncated geometric sum, term by term.
-
-    Checks that sum_{k=0..(alpha+1)*floor(h/(alpha+1))+alpha} p^-k factors as
-    (sum_{i=0..alpha} p^-i) * (sum_{j=0..floor(h/(alpha+1))} p^-(j(alpha+1)))
-    and that the extended cutoff covers h.  Both sides are summed explicitly
-    rather than through any closed form, so the check is independent of the
-    geometric identities used elsewhere.
-    """
-    p, h, alpha = as_index(p, "p"), as_index(h, "h"), as_index(alpha, "alpha")
-    if not is_prime(p):
-        raise InvalidArgument(f"{p} is not prime")
-    if h < 0 or alpha < 1:
-        raise InvalidArgument(f"need h >= 0 and alpha >= 1, got h={h}, alpha={alpha}")
-    blocks = h // (alpha + 1)
-    cutoff = (alpha + 1) * blocks + alpha
-    lhs = sum(Fraction(1, p**k) for k in range(cutoff + 1))
-    inner = sum(Fraction(1, p**i) for i in range(alpha + 1))
-    outer = sum(Fraction(1, p ** (j * (alpha + 1))) for j in range(blocks + 1))
-    return lhs == inner * outer and cutoff >= h

@@ -46,30 +46,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import below
 from .errors import InvalidArgument
-from .exact_arith import as_index
+from .exact_arith import Record, as_index
 from .primes import nth_prime, prime_cap, primes_window
 
 TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
 
 
-@dataclass(frozen=True)
-class BoundTableRow:
-    m: int
-    p_I1: int
-    p_I2: int
-    p_I3: int
-    perisastri: int
+class BoundTableRow(Record):
+    """One ``generate_table`` row: bounds on the three smallest prime factors."""
 
-    def __post_init__(self):
-        if not self.p_I1 < self.p_I2 < self.p_I3:
-            raise InvalidArgument(
-                f"bound columns must increase: {self.p_I1}, {self.p_I2}, {self.p_I3}"
-            )
+    __slots__ = ("m", "p_I1", "p_I2", "p_I3", "perisastri")
+
+    def __init__(self, m: int, p_I1: int, p_I2: int, p_I3: int, perisastri: int):
+        Record.__init__(self, m, p_I1, p_I2, p_I3, perisastri)
 
 
 # rho_limit(k) as an integer pair: the product of (1 + 1/p) over the k-1

@@ -48,7 +48,7 @@ MAX_DECIMAL_DIGITS = 10_000  # certified places shown by ``constants``, before i
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 # str() of an int past 4,300 digits raises under Python's default limit,
-# which only main() lifts
+# which main() lifts only while it runs
 _STR_PIECE_DIGITS = 4_000
 
 
@@ -261,12 +261,11 @@ def _table_lines(records) -> list[str]:
 
 
 def _cmd_table(args) -> int:
-    from dataclasses import asdict
-
     from . import bound_tables
 
     rows = bound_tables.generate_table(args.m_min, args.m_max, args.alpha)
-    _render(args.format, [asdict(r) for r in rows], _table_lines)
+    records = [{name: getattr(r, name) for name in r.__match_args__} for r in rows]
+    _render(args.format, records, _table_lines)
     return 0
 
 
@@ -409,29 +408,33 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    # sigma of a large prime power (sigma of 3^10000 has 4,772 digits)
-    # must print past the default 4,300-digit int-to-str guard
+    # sigma of 3^10000 (4,772 digits) must print past the default 4,300-digit
+    # int-to-str guard; the caller's limit comes back on return
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5_000_000)
-    argv = sys.argv[1:] if argv is None else argv
-    args = _plain_call(argv) or build_parser().parse_args(argv)
-    if args.command != "constants":  # the one command with no sieve
-        from . import primes
-
-        try:
-            cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
-            if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
-                primes.set_prime_cap(cap)
-        except (ValueError, OpnlabError) as exc:
-            print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
-            return 2
     try:
-        return globals()["_cmd_" + args.command](args)
-    except OpnlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # exit 1 means refuted, so a crash must not reach it
-        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        argv = sys.argv[1:] if argv is None else argv
+        args = _plain_call(argv) or build_parser().parse_args(argv)
+        if args.command != "constants":  # the one command with no sieve
+            from . import primes
+
+            try:
+                cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
+                if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
+                    primes.set_prime_cap(cap)
+            except (ValueError, OpnlabError) as exc:
+                print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
+                return 2
+        try:
+            return globals()["_cmd_" + args.command](args)
+        except OpnlabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # exit 1 means refuted, so a crash must not reach it
+            print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

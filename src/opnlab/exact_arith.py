@@ -11,13 +11,13 @@ certified, by construction, to bracket some real constant.  Comparisons
 against a constant are made by ``constants.below``, which keeps its
 brackets as integers on a dyadic grid and refines them until it can answer
 True or False; a ``RatInterval`` is built only at the public entries of
-``constants``, so no table probe or radical case reads one.
+``constants``, so no table probe or radical case reads one.  ``Record`` is
+the base of the package's immutable result records.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 from operator import index
@@ -73,18 +73,54 @@ def as_index(value, name: str) -> int:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class Record:
+    """An immutable record.  Its fields are its ``__slots__`` in order, but
+    for slots named with a leading underscore, which hold cached values; a
+    subclass's ``__init__`` passes every slot's value to ``Record.__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class RatInterval(Record):
     """Closed interval [lo, hi] of exact rationals, lo <= hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_rational(self.lo))
-        object.__setattr__(self, "hi", as_rational(self.hi))
-        if self.lo > self.hi:
-            raise InvalidArgument(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo, hi):
+        lo, hi = as_rational(lo), as_rational(hi)
+        if lo > hi:
+            raise InvalidArgument(f"interval endpoints out of order: {lo} > {hi}")
+        Record.__init__(self, lo, hi)
 
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from operator import index
 
 from .errors import InvalidArgument, ResourceLimit, _digits
-from .exact_arith import as_index
+from .exact_arith import Record, as_index
 
 DEFAULT_PRIME_CAP = 10**6  # how many primes the sieve may generate
 
@@ -243,23 +241,21 @@ def primes_window(start: int, count: int) -> list[int]:
     return sieve.primes[start - 1 : start + count - 1]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Ordered prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
-    The empty tuple represents n = 1.
+    The empty tuple represents n = 1; ``n`` is computed on first use.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors", "_n")
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[tuple[int, int], ...]):
         try:
-            factors = tuple((index(p), index(e)) for p, e in self.factors)
+            factors = tuple((index(p), index(e)) for p, e in factors)
         except TypeError as exc:
             raise InvalidArgument(f"primes and exponents must be integers: {exc}") from exc
-        object.__setattr__(self, "factors", factors)
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev:
                 if p < 2:
                     raise InvalidArgument(f"{p} is not prime")
@@ -271,17 +267,20 @@ class Factorization:
             if not is_prime(p):
                 raise InvalidArgument(f"{p} is not prime")
             prev = p
+        Record.__init__(self, factors, None)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Factorization":
         return cls(tuple(sorted(map(tuple, pairs))))
 
-    @cached_property
+    @property
     def n(self) -> int:
-        value = 1
-        for p, e in self.factors:
-            value *= p**e
-        return value
+        if self._n is None:
+            value = 1
+            for p, e in self.factors:
+                value *= p**e
+            object.__setattr__(self, "_n", value)
+        return self._n
 
     @property
     def radical(self) -> tuple[int, ...]:

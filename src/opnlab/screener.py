@@ -27,18 +27,21 @@ and every other exponent is exactly 2, so refuting it rests on Steuerwald's
 theorem (1937): no odd perfect number has the form q * prod p_i^2.
 
 A ``Fraction`` is built only for a witness, so a consistent verdict takes
-no gcd.  All witnesses are exact rationals.
+no gcd.  All witnesses are exact rationals.  A ``ScreenVerdict`` checks
+nothing itself: the screens give it a condition exactly when it violates,
+and a witness exactly for a condition other than NotOdd, EulerianForm and
+TooFewPrimeFactors.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abundancy import _check_prime_set, _truncated_pair, sigma
 from .constants import below
 from .errors import InvalidArgument
+from .exact_arith import Record
 from .primes import Factorization
 
 MIN_DISTINCT_PRIMES = 9  # every odd perfect number has at least 9 distinct primes
@@ -60,20 +63,13 @@ class Condition(enum.Enum):
     TRIPLE_EXCLUSION_357 = "TripleExclusion357"
 
 
-# structural refutations carry no numeric witness
-_STRUCTURAL = frozenset(
-    {Condition.NOT_ODD, Condition.EULERIAN_FORM, Condition.TOO_FEW_PRIME_FACTORS}
-)
-
-
 class Mode(enum.Enum):
     ALPHA1 = "alpha1"
     ALPHA2_CASE1 = "alpha2case1"
     AUTO = "auto"
 
 
-@dataclass(frozen=True)
-class ScreenVerdict:
+class ScreenVerdict(Record):
     """Outcome of one necessary-condition test.
 
     ``witness`` is the offending product value for bound conditions, or
@@ -82,21 +78,16 @@ class ScreenVerdict:
     had to fail for the refutation to go through.
     """
 
-    outcome: Outcome
-    violated_condition: Condition | None = None
-    witness: Fraction | None = None
-    case_witnesses: tuple[tuple[str, Fraction], ...] | None = None
+    __slots__ = ("outcome", "violated_condition", "witness", "case_witnesses")
 
-    def __post_init__(self):
-        if self.outcome is Outcome.VIOLATES:
-            if self.violated_condition is None:
-                raise InvalidArgument("a violation must name the violated condition")
-            if (self.witness is None) != (self.violated_condition in _STRUCTURAL):
-                raise InvalidArgument(
-                    "witness must be present exactly for non-structural violations"
-                )
-        elif self.violated_condition is not None or self.witness is not None:
-            raise InvalidArgument("a consistent verdict carries no condition or witness")
+    def __init__(
+        self,
+        outcome: Outcome,
+        violated_condition: Condition | None = None,
+        witness: Fraction | None = None,
+        case_witnesses: tuple[tuple[str, Fraction], ...] | None = None,
+    ):
+        Record.__init__(self, outcome, violated_condition, witness, case_witnesses)
 
     @property
     def violates(self) -> bool:
@@ -109,46 +100,15 @@ _BAD_FORM = ScreenVerdict(Outcome.VIOLATES, Condition.EULERIAN_FORM)
 _TOO_FEW = ScreenVerdict(Outcome.VIOLATES, Condition.TOO_FEW_PRIME_FACTORS)
 
 
-@dataclass(frozen=True)
-class EulerForm:
-    """n = special_prime^special_exponent * prod q^e with all e even."""
-
-    special_prime: int
-    special_exponent: int
-    even_part: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.special_prime % 4 != 1:
-            raise InvalidArgument(f"special prime must be 1 mod 4, got {self.special_prime}")
-        if self.special_exponent % 4 != 1:
-            raise InvalidArgument(
-                f"special exponent must be 1 mod 4, got {self.special_exponent}"
-            )
-        for p, e in self.even_part:
-            if e % 2 != 0 or e < 2:
-                raise InvalidArgument(f"even part needs even exponents >= 2, got {p}^{e}")
-
-
-def to_euler_form(f: Factorization) -> EulerForm:
-    """Split a factorization into Eulerian form, or raise InvalidArgument."""
-    if f.factors and f.factors[0][0] == 2:
-        raise InvalidArgument("even numbers have no Eulerian form")
-    odd_exp = [(p, e) for p, e in f.factors if e % 2 == 1]
-    if len(odd_exp) != 1:
-        raise InvalidArgument(f"need exactly one odd exponent, found {len(odd_exp)}")
-    p, b = odd_exp[0]
-    return EulerForm(p, b, tuple((q, e) for q, e in f.factors if e % 2 == 0))
-
-
 def euler_form_check(f: Factorization) -> ScreenVerdict:
-    """Structural test of the Eulerian form; n = 1 has no special prime."""
+    """Structural test of the Eulerian form: exactly one odd exponent, with
+    its prime and the exponent both 1 mod 4.  n = 1 has no special prime."""
     if f.factors and f.factors[0][0] == 2:
         return _NOT_ODD
-    try:
-        to_euler_form(f)
-    except InvalidArgument:
-        return _BAD_FORM
-    return _CONSISTENT
+    odd = [(p, e) for p, e in f.factors if e % 2 == 1]
+    if len(odd) == 1 and odd[0][0] % 4 == 1 and odd[0][1] % 4 == 1:
+        return _CONSISTENT
+    return _BAD_FORM
 
 
 def perfect_check(f: Factorization) -> ScreenVerdict:

@@ -1,9 +1,9 @@
 """Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
 
 Each mutant breaks a contract the code states: a proven primality bound, an
-outward-rounded enclosure, an exact screening identity, the exact rendering
-of a certified constant, the command line's parse, or the modules a call
-loads.  For each one the script copies the repository (without ``.git`` and
+outward-rounded enclosure, an exact screening identity, the Eulerian form,
+a result record's equality, the exact rendering of a certified constant,
+the command line's parse, or the modules a call loads.  For each one the script copies the repository (without ``.git`` and
 caches) into a temporary directory, replaces one line, and runs ``pytest -x
 -q`` there with a fixed hypothesis seed, so every run draws the same
 examples; the mutant is killed when pytest reports a failing test (exit 1).
@@ -82,6 +82,24 @@ MUTANTS = [
         "screener.py",
         "elif not below(num, den, 2):",
         "elif not below(num, den, 1):",
+    ),
+    (
+        "the Eulerian form asks for a special prime 3 mod 4",
+        "screener.py",
+        "if len(odd) == 1 and odd[0][0] % 4 == 1 and odd[0][1] % 4 == 1:",
+        "if len(odd) == 1 and odd[0][0] % 4 == 3 and odd[0][1] % 4 == 1:",
+    ),
+    (
+        "the Eulerian form takes the first of several odd exponents",
+        "screener.py",
+        "if len(odd) == 1 and odd[0][0] % 4 == 1 and odd[0][1] % 4 == 1:",
+        "if len(odd) >= 1 and odd[0][0] % 4 == 1 and odd[0][1] % 4 == 1:",
+    ),
+    (
+        "a record's equality ignores its last field",
+        "exact_arith.py",
+        "return self._values() == other._values()",
+        "return self._values()[:-1] == other._values()[:-1]",
     ),
     (
         "constants prints its dyadic ends unreduced",

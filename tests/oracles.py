@@ -1,5 +1,6 @@
 """Reference brackets of pi, arctan(1/x), zeta(s) and the screening
-thresholds, and truncated prime products summed term by term.
+thresholds, truncated prime products summed term by term, and the block
+split of a geometric sum.
 
 Exact ``Fraction`` arithmetic throughout, independent of the library: its
 brackets are this module's own ``Bracket``, whose side test is a plain
@@ -129,3 +130,16 @@ def truncated_product(primes, alpha: int, start=Fraction(1)) -> Fraction:
     for p in primes:
         value *= sum(Fraction(1, p**i) for i in range(alpha + 1))
     return value
+
+
+def geometric_split(p: int, h: int, alpha: int) -> bool:
+    """Whether sum_{k=0..c} p^-k, with c = (alpha+1)*floor(h/(alpha+1)) + alpha,
+    factors as (sum_{i=0..alpha} p^-i) * (sum_{j=0..floor(h/(alpha+1))}
+    p^-(j(alpha+1))), and the cutoff c covers h.  Every sum is taken term by
+    term, through no closed form."""
+    blocks = h // (alpha + 1)
+    cutoff = (alpha + 1) * blocks + alpha
+    lhs = sum(Fraction(1, p**k) for k in range(cutoff + 1))
+    inner = sum(Fraction(1, p**i) for i in range(alpha + 1))
+    outer = sum(Fraction(1, p ** (j * (alpha + 1))) for j in range(blocks + 1))
+    return lhs == inner * outer and cutoff >= h

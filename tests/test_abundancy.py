@@ -8,7 +8,6 @@ from opnlab.abundancy import (
     Classification,
     _truncated_pair,
     abundancy_report,
-    geometric_split_check,
     sigma,
     sigma_minus_one,
     truncated_product,
@@ -18,6 +17,7 @@ from opnlab.constants import zeta_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.exact_arith import RatInterval
 from opnlab.primes import Factorization, factorize, primes_window
+from oracles import geometric_split
 
 EVEN_PERFECT = (6, 28, 496, 8128)
 
@@ -53,6 +53,16 @@ def test_sigma_minus_one_examples():
 @given(factorizations)
 def test_sigma_minus_one_times_n_is_sigma(f):
     assert sigma_minus_one(f) * f.n == sigma(f)
+
+
+@given(factorizations)
+def test_abundancy_report_is_sigma_over_n(f):
+    report = abundancy_report(f)
+    assert (report.n, report.sigma) == (f.n, sigma(f))
+    assert report.sigma_minus_one * report.n == report.sigma
+    classes = {-1: Classification.DEFICIENT, 0: Classification.PERFECT, 1: Classification.ABUNDANT}
+    excess = report.sigma - 2 * report.n
+    assert report.classification is classes[(excess > 0) - (excess < 0)]
 
 
 def test_perfect_numbers_hit_two_exactly():
@@ -131,26 +141,25 @@ def test_truncated_pair_equals_the_term_by_term_sum(primes, h, k):
 
 
 def test_geometric_split_examples():
-    assert geometric_split_check(3, 4, 1)
-    assert geometric_split_check(5, 0, 1)
-    assert geometric_split_check(7, 6, 2)
+    assert geometric_split(3, 4, 1)
+    assert geometric_split(5, 0, 1)
+    assert geometric_split(7, 6, 2)
     # cross-check the first case by hand: both sides equal sum_{k=0..5} 3^-k
     assert sum(Fraction(1, 3**k) for k in range(6)) == Fraction(364, 243)
+    assert sigma_minus_one(factorize(3**5)) == Fraction(364, 243)
+    assert truncated_product([3], 1) * (1 + Fraction(1, 9) + Fraction(1, 81)) == Fraction(364, 243)
 
 
-def test_geometric_split_validation():
-    with pytest.raises(InvalidArgument):
-        geometric_split_check(4, 2, 1)
-    with pytest.raises(InvalidArgument):
-        geometric_split_check(3, -1, 1)
-    with pytest.raises(InvalidArgument):
-        geometric_split_check(3, 2, 0)
-    with pytest.raises(InvalidArgument, match="^p must be an integer"):
-        geometric_split_check(3.0, 2, 1)
-    with pytest.raises(InvalidArgument, match="^h must be an integer"):
-        geometric_split_check(3, 2.0, 1)
-    with pytest.raises(InvalidArgument, match="^alpha must be an integer"):
-        geometric_split_check(3, 2, 1.0)
+@settings(deadline=None)
+@given(p=st.sampled_from(small_primes), h=st.integers(0, 12), alpha=st.integers(1, 4))
+def test_geometric_split_holds_for_the_library_sums(p, h, alpha):
+    # sigma_{-1}(p^c) at the split's cutoff c is the alpha-truncated factor
+    # times the block sum
+    blocks = h // (alpha + 1)
+    cutoff = (alpha + 1) * blocks + alpha
+    block_sum = sum(Fraction(1, p ** (j * (alpha + 1))) for j in range(blocks + 1))
+    assert geometric_split(p, h, alpha)
+    assert sigma_minus_one(Factorization(((p, cutoff),))) == truncated_product([p], alpha) * block_sum
 
 
 def test_truncation_of_perfect_numbers_is_sandwiched():

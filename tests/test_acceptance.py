@@ -10,13 +10,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from opnlab.abundancy import geometric_split_check, sigma_minus_one
+from opnlab.abundancy import sigma_minus_one
 from opnlab.bound_tables import find_I, generate_table, rho, rho_limit
 from opnlab.constants import threshold_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.primes import Factorization, factorize, nth_prime, primes_window
 from opnlab.screener import Condition, Mode, full_screen, radical_screen
-from oracles import oracle_side
+from oracles import geometric_split, oracle_side
 
 GOLDEN = Path(__file__).parent / "golden" / "table_m9_m20_alpha1.csv"
 
@@ -97,7 +97,7 @@ def test_criterion_5_geometric_split_grid():
     for p in primes_window(1, 20):
         for h in range(13):
             for alpha in range(1, 5):
-                assert geometric_split_check(p, h, alpha), (p, h, alpha)
+                assert geometric_split(p, h, alpha), (p, h, alpha)
     _pass(5, "geometric split identity on the full grid")
 
 

@@ -10,7 +10,6 @@ from opnlab import bound_tables
 from opnlab.abundancy import _truncated_pair
 from opnlab.bound_tables import (
     _PREFIX,
-    BoundTableRow,
     _store,
     _window,
     find_I,
@@ -363,6 +362,10 @@ def test_generate_table_alpha2_generalization():
         assert find_I(1, row.m, alpha=2) == naive_scan(1, row.m, alpha=2)
 
 
-def test_bound_table_row_ordering_invariant():
-    with pytest.raises(InvalidArgument):
-        BoundTableRow(m=9, p_I1=31, p_I2=11, p_I3=509, perisastri=9)
+@settings(max_examples=30, deadline=None)
+@given(m_min=st.integers(9, 60), span=st.integers(0, 4), alpha=st.integers(1, 3))
+def test_bound_table_row_ordering_invariant(m_min, span, alpha):
+    rows = generate_table(m_min, m_min + span, alpha)
+    assert [row.m for row in rows] == list(range(m_min, m_min + span + 1))
+    for row in rows:
+        assert row.p_I1 < row.p_I2 < row.p_I3

@@ -65,7 +65,7 @@ def certified_digits_oracle(width: Fraction) -> int:
 
 @pytest.fixture
 def default_int_str_limit():
-    # main() raises the process-wide int-to-str limit; library callers keep the default
+    # library callers keep Python's default int-to-str limit
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     yield
@@ -169,6 +169,19 @@ def test_sigma_command_unit():
     assert "sigma: 1" in out
     assert "sigma_minus_one: 1/1" in out
     assert "classification: Deficient" in out
+
+
+def test_main_restores_the_callers_int_str_limit(default_int_str_limit, capsys):
+    # main() lifts the limit to print sigma(3^10000), 4,772 digits, and puts
+    # the caller's limit back on every way out
+    assert main(["sigma", "3^10000", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",")[2] == "sigma" and len(row.split(",")[2]) == 4772
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    assert main(["sigma", "0^2"]) == 2
+    with pytest.raises(SystemExit):
+        main(["sigma", "--help"])
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
 
 
 def test_sigma_prints_integers_past_the_default_str_digit_limit():

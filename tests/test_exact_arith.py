@@ -1,7 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from opnlab.abundancy import AbundancyReport, Classification
+from opnlab.bound_tables import BoundTableRow
 from opnlab.constants import zeta_enclosure
 from opnlab.errors import InvalidArgument
 from opnlab.exact_arith import (
@@ -10,6 +14,8 @@ from opnlab.exact_arith import (
     RatInterval,
     as_rational,
 )
+from opnlab.primes import Factorization
+from opnlab.screener import Condition, Outcome, ScreenVerdict
 
 
 def test_as_rational_rejects_junk():
@@ -58,3 +64,68 @@ def test_div_by_zeta3_encloses_reference_decimal():
     ratio = RatInterval(c / z3.hi, c / z3.lo)
     assert ratio.contains(Fraction("1.901502566"))
 
+
+# each record type: its field names, then two valid value tuples that differ
+# in every field
+RECORDS = [
+    (RatInterval, ("lo", "hi"), (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 4), Fraction(1))),
+    (Factorization, ("factors",), (((3, 2), (5, 1)),), (((3, 2),),)),
+    (
+        ScreenVerdict,
+        ("outcome", "violated_condition", "witness", "case_witnesses"),
+        (Outcome.VIOLATES, Condition.ALPHA2_CASE1, Fraction(7, 3), (("case2", Fraction(7, 3)),)),
+        (Outcome.CONSISTENT_SO_FAR, None, None, None),
+    ),
+    (
+        AbundancyReport,
+        ("n", "sigma", "sigma_minus_one", "classification"),
+        (945, 1920, Fraction(128, 63), Classification.ABUNDANT),
+        (28, 56, Fraction(2), Classification.PERFECT),
+    ),
+    (
+        BoundTableRow,
+        ("m", "p_I1", "p_I2", "p_I3", "perisastri"),
+        (9, 11, 31, 509, 9),
+        (10, 13, 37, 593, 12),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, other", RECORDS)
+def test_a_record_refuses_assignment_and_deletion(cls, names, values, other):
+    record = cls(*values)
+    for name, value in zip(names, other):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == cls(*values)
+
+
+@pytest.mark.parametrize("cls, names, values, other", RECORDS)
+def test_records_compare_and_hash_by_their_fields(cls, names, values, other):
+    record = cls(*values)
+    twin = cls(**dict(zip(names, values)))
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    assert cls.__match_args__ == names
+    for i in range(len(names)):
+        changed = cls(*values[:i], other[i], *values[i + 1 :])
+        assert changed != record and not changed == record
+    assert record != values and record != object()
+    assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+
+
+@pytest.mark.parametrize("cls, names, values, other", RECORDS)
+def test_a_record_shows_its_fields(cls, names, values, other):
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
+def test_a_factorization_computes_n_once_and_compares_without_it():
+    f, g = Factorization(((3, 40), (5, 1))), Factorization(((3, 40), (5, 1)))
+    assert f.n == 5 * 3**40 and f.n is f.n
+    assert f == g and hash(f) == hash(g)  # g has not computed n
+    assert repr(f) == repr(g) == "Factorization(factors=((3, 40), (5, 1)))"

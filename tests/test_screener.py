@@ -9,22 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opnlab import abundancy, primes, screener
+from opnlab import primes, screener
 from opnlab.abundancy import truncated_product
 from opnlab.constants import threshold_enclosure
 from opnlab.errors import InvalidArgument, ResourceLimit
 from opnlab.primes import Factorization, factorize, primes_window
 from opnlab.screener import (
     Condition,
-    EulerForm,
     Mode,
     Outcome,
-    ScreenVerdict,
     euler_form_check,
     full_screen,
     perfect_check,
     radical_screen,
-    to_euler_form,
 )
 from oracles import oracle_side
 
@@ -44,17 +41,6 @@ def alpha2_oracle(ps, special=None):
         else:
             value *= 1 + Fraction(1, p) + Fraction(1, p * p)
     return value
-
-
-def test_verdict_invariants():
-    with pytest.raises(InvalidArgument):
-        ScreenVerdict(Outcome.VIOLATES)
-    with pytest.raises(InvalidArgument):
-        ScreenVerdict(Outcome.VIOLATES, Condition.NOT_ODD, Fraction(1))
-    with pytest.raises(InvalidArgument):
-        ScreenVerdict(Outcome.VIOLATES, Condition.NOT_PERFECT)
-    with pytest.raises(InvalidArgument):
-        ScreenVerdict(Outcome.CONSISTENT_SO_FAR, witness=Fraction(1))
 
 
 def test_euler_form_check_examples():
@@ -77,19 +63,48 @@ def test_euler_form_check_examples():
     assert bad_prime.violated_condition is Condition.EULERIAN_FORM
 
 
-def test_to_euler_form():
-    form = to_euler_form(Factorization(((3, 2), (7, 2), (11, 2), (13, 1))))
-    assert form.special_prime == 13
-    assert form.special_exponent == 1
-    assert form.even_part == ((3, 2), (7, 2), (11, 2))
-    with pytest.raises(InvalidArgument):
-        to_euler_form(factorize(28))
-    with pytest.raises(InvalidArgument):
-        EulerForm(7, 1, ())
-    with pytest.raises(InvalidArgument):
-        EulerForm(5, 3, ())
-    with pytest.raises(InvalidArgument):
-        EulerForm(5, 1, ((3, 3),))
+def _eulerian_by_definition(n: int) -> bool:
+    """Whether n = p^b * m^2 for a prime p not dividing m, with p and b both
+    1 mod 4: the odd prime factors of n by trial division, then one square
+    test per candidate p."""
+    if n % 2 == 0:
+        return False
+    prime_factors, rest, d = [], n, 3
+    while rest > 1:
+        if d * d > rest:
+            d = rest
+        if rest % d == 0:
+            prime_factors.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 2
+    for p in prime_factors:
+        b = 0
+        while n % p ** (b + 1) == 0:
+            b += 1
+        m_squared = n // p**b
+        if p % 4 == 1 and b % 4 == 1 and math.isqrt(m_squared) ** 2 == m_squared:
+            return True
+    return False
+
+
+@example(f=Factorization(((3, 2), (7, 2), (11, 2), (13, 1))))
+@example(f=Factorization(((5, 1), (13, 1))))
+@example(f=Factorization(((3, 2), (5, 9))))
+@settings(max_examples=300, deadline=None)
+@given(
+    f=st.dictionaries(
+        st.sampled_from(primes_window(1, 12)), st.integers(1, 9), max_size=4
+    ).map(lambda d: Factorization.from_pairs(d.items()))
+)
+def test_euler_form_check_matches_the_definition(f):
+    v = euler_form_check(f)
+    if f.n % 2 == 0:
+        assert v.violated_condition is Condition.NOT_ODD
+    elif _eulerian_by_definition(f.n):
+        assert v.outcome is Outcome.CONSISTENT_SO_FAR
+    else:
+        assert v.violated_condition is Condition.EULERIAN_FORM
 
 
 def test_perfect_check_examples():
@@ -255,7 +270,6 @@ def test_full_screen_does_not_recertify_primes(monkeypatch):
         calls.append(n)
         return _real(n)
 
-    monkeypatch.setattr(abundancy, "is_prime", counting)
     monkeypatch.setattr(primes, "is_prime", counting)
     for f in built:
         full_screen(f)
@@ -335,6 +349,32 @@ _prime_sets = st.one_of(
     st.sets(st.sampled_from([p for p in _ODD_PRIMES if p % 4 == 3]), min_size=1, max_size=40),
     st.sets(st.sampled_from(_ODD_PRIMES), max_size=37).map(lambda s: s | {3, 5, 7}),
 )
+
+
+_STRUCTURAL = {Condition.NOT_ODD, Condition.EULERIAN_FORM, Condition.TOO_FEW_PRIME_FACTORS}
+_ALPHA2 = {Condition.ALPHA2_CASE1, Condition.TRIPLE_EXCLUSION_357}
+
+# a prime set with exponents from 1 to 5; with the prime 2 sometimes
+_factorizations = st.builds(
+    lambda ps, exponents: Factorization.from_pairs(zip(ps, exponents)),
+    st.one_of(_prime_sets, st.sets(st.sampled_from([2, *_ODD_PRIMES[:30]]), max_size=6)),
+    st.lists(st.integers(min_value=1, max_value=5), min_size=40, max_size=40),
+)
+
+
+@example(f=factorize(28), ps={3, 5, 13, 17}, mode=Mode.ALPHA2_CASE1)
+@example(f=Factorization(((3, 2), (7, 2), (11, 2), (13, 1))), ps={3, 5, 7}, mode=Mode.AUTO)
+@settings(max_examples=150, deadline=None)
+@given(f=_factorizations, ps=_prime_sets, mode=st.sampled_from(list(Mode)))
+def test_verdict_invariants(f, ps, mode):
+    # every verdict the screens build names a condition exactly when it
+    # violates, carries a witness exactly for a non-structural condition, and
+    # case witnesses exactly for an alpha-2 refutation
+    for v in [*full_screen(f), radical_screen(ps, mode)]:
+        assert isinstance(v.outcome, Outcome)
+        assert v.violates == (v.violated_condition is not None)
+        assert (v.witness is not None) == (v.violates and v.violated_condition not in _STRUCTURAL)
+        assert (v.case_witnesses is not None) == (v.violated_condition in _ALPHA2)
 
 
 def _naive_outside(value, alpha):
