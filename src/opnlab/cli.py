@@ -12,6 +12,10 @@ min(d, MAX_DECIMAL_DIGITS) + 1 places, where d is the least integer with
 as dyadic fractions reduced by their trailing zero bits, and the decimal
 as a shift of a grid integer.
 
+Every printed int goes through ``_int_str``, which no int-to-str digit limit
+stops; the limit (PYTHONINTMAXSTRDIGITS) bounds a sigma or screen argument's
+integers instead.
+
 ``main()`` reads a plain call straight from the grammar table, building no
 parser and importing no argparse.  Any other call (help, a usage error, an
 abbreviated or ``--opt=value`` form) goes to the ``build_parser()`` argparse
@@ -47,20 +51,24 @@ MAX_DECIMAL_DIGITS = 10_000  # certified places shown by ``constants``, before i
 
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
-# str() of an int past 4,300 digits raises under Python's default limit,
-# which main() lifts only while it runs
-_STR_PIECE_DIGITS = 4_000
+
+def _int_str(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:  # past the limit, which decimal does not have
+        from decimal import Decimal
+
+        return str(Decimal(n))
 
 
-def _padded_digits(n: int, width: int) -> str:
-    """0 <= n < 10**width as exactly ``width`` digits, zero-padded.  Long
-    values are split in halves by 10**half (Brent and Zimmermann, Modern
-    Computer Arithmetic, 1.7), so str() only sees short pieces."""
-    if width <= _STR_PIECE_DIGITS:
-        return str(n).zfill(width)
-    half = width // 2
-    high, low = divmod(n, 10**half)
-    return _padded_digits(high, width - half) + _padded_digits(low, half)
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        message = f"is longer than the limit of {limit} digits; PYTHONINTMAXSTRDIGITS raises it"
+        raise ParseError(f"integer {_quoted(digits)} {message}") from None
 
 
 def decimal_str(q: Fraction, digits: int) -> str:
@@ -69,12 +77,12 @@ def decimal_str(q: Fraction, digits: int) -> str:
     sign = "-" if q < 0 else ""
     whole, rem = divmod(abs(q.numerator), q.denominator)
     if digits <= 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}." + _padded_digits(rem * 10**digits // q.denominator, digits)
+        return sign + _int_str(whole)
+    return f"{sign}{_int_str(whole)}." + _int_str(rem * 10**digits // q.denominator).zfill(digits)
 
 
 def frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def parse_factorization(text: str):
@@ -86,13 +94,13 @@ def parse_factorization(text: str):
     if not compact:
         raise ParseError("empty factorization")
     if compact.isdecimal():
-        return factorize(int(compact))
+        return factorize(_int(compact))
     pairs = []
     for part in compact.split("*"):
         m = _FACTOR_RE.match(part)
         if not m:
             raise ParseError(f"cannot parse factor {_quoted(part)}")
-        pairs.append((int(m.group(1)), int(m.group(2) or 1)))
+        pairs.append((_int(m.group(1)), _int(m.group(2) or "1")))
     return Factorization.from_pairs(pairs)
 
 
@@ -130,7 +138,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, dict):
         return ";".join(f"{label}={v}" for label, v in value.items())
-    return str(value)
+    return value if isinstance(value, str) else _int_str(value)
 
 
 def _render(fmt: str, records: list[dict], human) -> None:
@@ -143,7 +151,10 @@ def _render(fmt: str, records: list[dict], human) -> None:
     elif fmt == "jsonl":
         import json
 
-        lines = [json.dumps(r) for r in records]
+        def pair(key, v):  # json.dumps refuses an int past the digit limit
+            return f"{json.dumps(key)}: {_int_str(v) if type(v) is int else json.dumps(v)}"
+
+        lines = ["{" + ", ".join(pair(k, v) for k, v in r.items()) + "}" for r in records]
     else:
         lines = human(records)
     for line in lines:
@@ -156,9 +167,9 @@ def _render(fmt: str, records: list[dict], human) -> None:
 def _sigma_lines(records) -> list[str]:
     (r,) = records
     return [
-        f"n: {r['n']}",
+        f"n: {_int_str(r['n'])}",
         f"factorization: {r['factorization']}",
-        f"sigma: {r['sigma']}",
+        f"sigma: {_int_str(r['sigma'])}",
         f"sigma_minus_one: {r['sigma_minus_one']} (~{r['sigma_minus_one_decimal']})",
         f"classification: {r['classification']}",
     ]
@@ -224,16 +235,14 @@ def _cmd_screen(args) -> int:
 _MODES = {"auto": "AUTO", "alpha1": "ALPHA1", "alpha2": "ALPHA2_CASE1"}
 
 
-def _radical_lines(records) -> list[str]:
-    (r,) = records
+def _radical_lines(r: dict, case_witnesses) -> list[str]:
     lines = [
         "primes: " + " ".join(str(p) for p in r["primes"]),
         f"mode: {r['mode']}",
         _verdict_line("outcome", r),
     ]
-    for label, value in r["cases"].items():
-        dec = decimal_str(Fraction(value), SIGMA_DECIMAL_DIGITS)
-        lines.append(f"{label}: {value} (~{dec})")
+    for label, value in case_witnesses or ():
+        lines.append(f"{label}: {r['cases'][label]} (~{decimal_str(value, SIGMA_DECIMAL_DIGITS)})")
     return lines
 
 
@@ -247,7 +256,7 @@ def _cmd_radical(args) -> int:
         **_verdict_fields(verdict),
         "cases": {label: frac_str(value) for label, value in verdict.case_witnesses or ()},
     }
-    _render(args.format, [record], _radical_lines)
+    _render(args.format, [record], lambda rs: _radical_lines(*rs, verdict.case_witnesses))
     return 1 if verdict.violates else 0
 
 
@@ -286,7 +295,7 @@ def _constants_lines(records) -> list[str]:
 def _dyadic_str(n: int, bits: int) -> str:
     """n / 2^bits in lowest terms, for n > 0 not a multiple of 2^bits."""
     zeros = (n & -n).bit_length() - 1
-    return f"{n >> zeros}/{1 << (bits - zeros)}"
+    return f"{_int_str(n >> zeros)}/{_int_str(1 << (bits - zeros))}"
 
 
 def _cmd_constants(args) -> int:
@@ -301,8 +310,8 @@ def _cmd_constants(args) -> int:
         "hi": _dyadic_str(hi, bits),
         "width": _dyadic_str(hi - lo, bits),
         # decimal_str of mid / 2^bits: floor(frac * 10^digits) by one shift
-        "value_decimal": f"{mid >> bits}."
-        + _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> bits, digits),
+        "value_decimal": f"{_int_str(mid >> bits)}."
+        + _int_str(((mid & ((1 << bits) - 1)) * 10**digits) >> bits).zfill(digits),
     }
     _render(args.format, [record], _constants_lines)
     return 0
@@ -408,33 +417,26 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    # sigma of 3^10000 (4,772 digits) must print past the default 4,300-digit
-    # int-to-str guard; the caller's limit comes back on return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(5_000_000)
-    try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = _plain_call(argv) or build_parser().parse_args(argv)
-        if args.command != "constants":  # the one command with no sieve
-            from . import primes
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_call(argv) or build_parser().parse_args(argv)
+    if args.command != "constants":  # the one command with no sieve
+        from . import primes
 
-            try:
-                cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
-                if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
-                    primes.set_prime_cap(cap)
-            except (ValueError, OpnlabError) as exc:
-                print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
-                return 2
         try:
-            return globals()["_cmd_" + args.command](args)
-        except OpnlabError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
+            if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
+                primes.set_prime_cap(cap)
+        except (ValueError, OpnlabError) as exc:
+            print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
             return 2
-        except Exception as exc:  # exit 1 means refuted, so a crash must not reach it
-            print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        sys.set_int_max_str_digits(limit)
+    try:
+        return globals()["_cmd_" + args.command](args)
+    except OpnlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means refuted, so a crash must not reach it
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,22 +35,26 @@ MAX_DECIMAL_EXPONENT = 2_000_000
 # meet in int().
 MAX_MANTISSA_LENGTH = 4_300
 
-_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# an exponent as Fraction reads it: digits, with single underscores between them
+_EXPONENT_RE = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions, and numeric strings ('3/4', '1e-30') to Fraction."""
     if isinstance(value, Fraction):
         return value
+    text = value
     if isinstance(value, str):
         exponent = _EXPONENT_RE.search(value)
         if exponent:
-            digits = exponent.group(1).replace("_", "").lstrip("0")
+            digits = exponent.group(1).replace("_", "").lstrip("0") or "0"
             # compare the digit count first: int() of a long string is slow
-            if len(digits) > 7 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            if len(digits) > 7 or int(digits) > MAX_DECIMAL_EXPONENT:
                 raise InvalidArgument(
                     f"decimal exponent of {_quoted(value)} is beyond +-{MAX_DECIMAL_EXPONENT}"
                 )
+            # Fraction's int() of the exponent would meet the digit limit on its zeros
+            text = value[: exponent.start(1)] + digits
         length = exponent.start() if exponent else len(value)
         if length > MAX_MANTISSA_LENGTH:
             raise InvalidArgument(
@@ -58,7 +62,7 @@ def as_rational(value) -> Fraction:
             )
     if isinstance(value, (int, str, _RationalABC)):
         try:
-            return Fraction(value)
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidArgument(f"not a rational: {_quoted(value)}") from exc
     raise InvalidArgument(f"not a rational: {value!r}")

@@ -3,7 +3,8 @@
 Each mutant breaks a contract the code states: a proven primality bound, an
 outward-rounded enclosure, an exact screening identity, the Eulerian form,
 a result record's equality, the exact rendering of a certified constant,
-the command line's parse, or the modules a call loads.  For each one the script copies the repository (without ``.git`` and
+the printing of an integer past the int-to-str digit limit, the command
+line's parse, or the modules a call loads.  For each one the script copies the repository (without ``.git`` and
 caches) into a temporary directory, replaces one line, and runs ``pytest -x
 -q`` there with a fixed hypothesis seed, so every run draws the same
 examples; the mutant is killed when pytest reports a failing test (exit 1).
@@ -110,8 +111,14 @@ MUTANTS = [
     (
         "constants decimal shifted by bits - 1, not bits",
         "cli.py",
-        "+ _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> bits, digits),",
-        "+ _padded_digits(((mid & ((1 << bits) - 1)) * 10**digits) >> (bits - 1), digits),",
+        "+ _int_str(((mid & ((1 << bits) - 1)) * 10**digits) >> bits).zfill(digits),",
+        "+ _int_str(((mid & ((1 << bits) - 1)) * 10**digits) >> (bits - 1)).zfill(digits),",
+    ),
+    (
+        "the integer printer fails past the int-to-str digit limit",
+        "cli.py",
+        "return str(Decimal(n))",
+        "raise",
     ),
     (
         "the plain reading skips the choices check",

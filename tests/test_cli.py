@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -172,8 +173,8 @@ def test_sigma_command_unit():
 
 
 def test_main_restores_the_callers_int_str_limit(default_int_str_limit, capsys):
-    # main() lifts the limit to print sigma(3^10000), 4,772 digits, and puts
-    # the caller's limit back on every way out
+    # main() prints sigma(3^10000), 4,772 digits, and leaves the caller's
+    # limit as it was on every way out
     assert main(["sigma", "3^10000", "--format", "csv"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split(",")[2] == "sigma" and len(row.split(",")[2]) == 4772
@@ -192,6 +193,87 @@ def test_sigma_prints_integers_past_the_default_str_digit_limit():
     sigma = proc.stdout.decode().splitlines()[1].split(",")[2]
     assert len(sigma) == 4772
     assert int(sigma[-100:]) == (3**10001 - 1) // 2 % 10**100
+
+
+def _printed(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_LONG_OUTPUT_CALLS = [
+    ["sigma", "3^20000*5^3"],
+    ["screen", "3^10000*5^2"],
+    # no prime is 1 mod 4, so the one case is case 2, whose terms run past 10,000 digits
+    ["radical", *[str(p) for p in primes.primes_window(2, 3200) if p % 4 == 3][:1500]]
+    + ["--mode", "alpha2"],
+    ["constants", "--width", "1e-5000"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv", "jsonl"])
+@pytest.mark.parametrize("argv", _LONG_OUTPUT_CALLS, ids=lambda argv: argv[0])
+def test_main_prints_past_the_limit_without_changing_it(
+    argv, fmt, default_int_str_limit, monkeypatch
+):
+    argv = [*argv, "--format", fmt]
+    sys.set_int_max_str_digits(0)  # every int printed by plain str()
+    try:
+        expected = _printed(argv)
+        sigma = str((3**20001 - 1) // 2 * 156)  # sigma(3^20000 * 5^3)
+    finally:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+
+    def refuse(limit):
+        raise AssertionError(f"set_int_max_str_digits({limit})")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    code, out, err = _printed(argv)
+    assert (code, out, err) == expected and err == ""
+    assert max(len(token) for token in out.replace("/", " ").split()) > 4_300
+    if argv[0] == "sigma":
+        assert sigma in out
+
+
+@pytest.mark.parametrize("attempt", range(5))
+def test_threads_leave_the_callers_int_str_limit(attempt, default_int_str_limit):
+    # were main() to lift the limit, one call could save the other's raised
+    # limit and restore that last, or print after the other restored 4,300
+    codes = []
+
+    def calls():
+        codes.extend(main(["sigma", "3^10000", "--format", "csv"]) for _ in range(150))
+
+    out, interval = io.StringIO(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside calls too
+    try:
+        with redirect_stdout(out):
+            threads = [threading.Thread(target=calls) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == [0] * 300
+    assert out.getvalue().count("\n") == 600
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 4_301, "3^" + "1" * 4_301, "3*" + "7" * 4_301 + "^2"], ids=["n", "e", "p"]
+)
+@pytest.mark.parametrize("command", ["sigma", "screen"])
+def test_an_integer_past_the_limit_exits_2_at_once(command, text, default_int_str_limit):
+    start = time.monotonic()
+    code, out, err = _printed([command, text])
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: integer '") and err.count("\n") == 1 and len(err) < 250
+    assert "... (4301 characters) is longer than the limit of 4300 digits" in err
+    assert err.endswith("; PYTHONINTMAXSTRDIGITS raises it\n")
 
 
 def test_sigma_output_round_trips_through_parser():

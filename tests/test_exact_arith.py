@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,22 @@ def test_as_rational_rejects_junk():
             as_rational(text)
     assert as_rational("1e-2_000") == Fraction(1, 10**2000)
     assert as_rational("3e000000000000000005") == 300000
+
+
+def test_as_rational_reads_a_zero_padded_exponent_under_the_default_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        assert as_rational("1e-" + "0" * 5_000 + "5") == Fraction(1, 10**5)
+        assert as_rational("2.5E+" + "0_" * 5_000 + "3 ") == 2500
+        # an exponent Fraction would refuse is refused still, quoting the caller's text
+        for text in ("1e-_5", "1e-5_", "1e-0__5"):
+            with pytest.raises(InvalidArgument, match=f"not a rational: {text!r}"):
+                as_rational(text)
+        with pytest.raises(InvalidArgument):
+            as_rational("1e-" + "0" * 5_000 + "_")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_as_rational_bounds_the_mantissa():

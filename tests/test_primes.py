@@ -407,7 +407,7 @@ def test_a_long_residual_is_quoted_by_its_head():
     try:
         sys.set_int_max_str_digits(0)
         text = str(residual)
-        # Python's default limit, which the command line lifts but a library caller keeps
+        # Python's default limit
         sys.set_int_max_str_digits(4300)
         set_prime_cap(25)
         with pytest.raises(ResourceLimit) as info:
