@@ -13,8 +13,10 @@ as dyadic fractions reduced by their trailing zero bits, and the decimal
 as a shift of a grid integer.
 
 Every printed int goes through ``_int_str``, which no int-to-str digit limit
-stops; the limit (PYTHONINTMAXSTRDIGITS) bounds a sigma or screen argument's
-integers instead.
+stops; the limit (PYTHONINTMAXSTRDIGITS) bounds every integer argument
+instead, and one past it exits 2 with one line quoting at most 100
+characters.  A sigma or screen factorization is refused before any
+arithmetic when its sum of e * bit_length(p) is past 2^17 bits.
 
 ``main()`` reads a plain call straight from the grammar table, building no
 parser and importing no argparse.  Any other call (help, a usage error, an
@@ -48,6 +50,9 @@ from .exact_arith import as_rational
 
 SIGMA_DECIMAL_DIGITS = 12
 MAX_DECIMAL_DIGITS = 10_000  # certified places shown by ``constants``, before its display digit
+# sigma(3^65535) takes about 0.13 s on a 2-vCPU host, and the cost grows
+# quadratically: 3^1000000, about 2 million bits, is refused
+_MAX_FACTORIZATION_BITS = 1 << 17
 
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
@@ -62,13 +67,20 @@ def _int_str(n: int) -> str:
         return str(Decimal(n))
 
 
-def _int(digits: str) -> int:
+def _int(text: str) -> int:
+    """int(text), but a ParseError quoting the head of a text past the
+    interpreter's int-to-str digit limit."""
     try:
-        return int(digits)
-    except ValueError:  # past the interpreter's int-to-str digit limit
+        return int(text)
+    except ValueError:
         limit = sys.get_int_max_str_digits()
+        if not 0 < limit < len(text):
+            raise
         message = f"is longer than the limit of {limit} digits; PYTHONINTMAXSTRDIGITS raises it"
-        raise ParseError(f"integer {_quoted(digits)} {message}") from None
+        raise ParseError(f"integer {_quoted(text)} {message}") from None
+
+
+_int.__name__ = "int"  # argparse's usage error names the type: "invalid int value"
 
 
 def decimal_str(q: Fraction, digits: int) -> str:
@@ -93,14 +105,18 @@ def parse_factorization(text: str):
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty factorization")
-    if compact.isdecimal():
-        return factorize(_int(compact))
-    pairs = []
+    pairs = []  # a decimal n is the one pair (n, 1)
     for part in compact.split("*"):
         m = _FACTOR_RE.match(part)
         if not m:
             raise ParseError(f"cannot parse factor {_quoted(part)}")
         pairs.append((_int(m.group(1)), _int(m.group(2) or "1")))
+    if sum(e * p.bit_length() for p, e in pairs) > _MAX_FACTORIZATION_BITS:
+        raise ParseError(
+            f"factorization is past {_MAX_FACTORIZATION_BITS} bits (the sum of e * bit_length(p))"
+        )
+    if compact.isdecimal():
+        return factorize(pairs[0][0])
     return Factorization.from_pairs(pairs)
 
 
@@ -332,18 +348,18 @@ _GRAMMAR = {
     ),
     "radical": (
         "exponent-free screening on a prime set",
-        ("primes", dict(nargs="+", type=int, help="distinct odd primes")),
+        ("primes", dict(nargs="+", type=_int, help="distinct odd primes")),
         ("--mode", dict(choices=sorted(_MODES), default="auto")),
     ),
     "table": (
         "bound table for the three smallest prime factors",
-        ("--m-min", dict(type=int, default=9)),
-        ("--m-max", dict(type=int, default=20)),
-        ("--alpha", dict(type=int, default=1)),
+        ("--m-min", dict(type=_int, default=9)),
+        ("--m-max", dict(type=_int, default=20)),
+        ("--alpha", dict(type=_int, default=1)),
     ),
     "constants": (
         "certified threshold enclosure",
-        ("--alpha", dict(type=int, default=1)),
+        ("--alpha", dict(type=_int, default=1)),
         ("--width", dict(default="1e-30", help="target enclosure width")),
     ),
 }
@@ -388,7 +404,7 @@ def _plain_call(argv):
             return None
         try:
             values = [keywords.get("type", str)(s) for s in strings]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, ParseError):  # argparse reports each
             return None
         if "choices" in keywords and any(v not in keywords["choices"] for v in values):
             return None
@@ -400,7 +416,8 @@ def _plain_call(argv):
 @functools.cache
 def build_parser():
     """Every subcommand's parser nested in one argparse tree, shared by every
-    caller: do not modify it.  ``main()`` parses with it what ``_plain_call`` does not."""
+    caller: do not modify it.  ``main()`` parses with it what ``_plain_call`` does not.
+    An integer argument past the digit limit raises ParseError, not a usage error."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -418,18 +435,18 @@ def build_parser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_call(argv) or build_parser().parse_args(argv)
-    if args.command != "constants":  # the one command with no sieve
-        from . import primes
+    try:  # an integer argument past the digit limit raises ParseError
+        args = _plain_call(argv) or build_parser().parse_args(argv)
+        if args.command != "constants":  # the one command with no sieve
+            from . import primes
 
-        try:
-            cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
-            if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
-                primes.set_prime_cap(cap)
-        except (ValueError, OpnlabError) as exc:
-            print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
-            return 2
-    try:
+            try:
+                cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
+                if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
+                    primes.set_prime_cap(cap)
+            except (ValueError, OpnlabError) as exc:
+                print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
+                return 2
         return globals()["_cmd_" + args.command](args)
     except OpnlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,11 @@ below psi_k, the least strong pseudoprime to the first k prime bases, is
 decided by those k bases alone.  Past psi_13 a failed 13-base strong test
 proves n composite, and a pass raises ResourceLimit.  A set of primes is
 proven by the same tiers on the whole set: one superset test and one gcd,
-then the ladder for its members from 1,050,625 on.  No probabilistic
-answers are ever returned.  Every public entry point takes integers only
-(``operator.index``); anything else raises InvalidArgument naming the
-argument.
+then the ladder for its members from 1,050,625 on.  ``factorize``'s record is
+its own proof, checked no further; only a caller's ``Factorization`` is
+validated.  No probabilistic answers are ever returned.  Every public entry
+point takes integers only (``operator.index``); anything else raises
+InvalidArgument naming the argument.
 """
 
 from __future__ import annotations
@@ -292,18 +293,25 @@ class Factorization(Record):
         return "*".join(str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors)
 
 
+def _proven(factors: tuple[tuple[int, int], ...], n: int) -> Factorization:
+    """The record of factors whose product is n, stored as given, unchecked."""
+    f = object.__new__(Factorization)
+    Record.__init__(f, factors, n)
+    return f
+
+
 def factorize(n: int) -> Factorization:
     """Complete factorization by trial division over the sieved prime stream.
 
-    Residual cofactors that pass the deterministic primality test are
-    accepted directly; a composite residual needing primes beyond the cap
-    raises ResourceLimit.
+    The record is this proof, checked no further: a trial prime p divides
+    the residual, which has no prime factor below p; a final residual is
+    prime by p * p > residual or by is_prime (after a division, or at the
+    cap); the primes ascend and each exponent is >= 1 by construction.  A
+    composite residual needing primes beyond the cap raises ResourceLimit.
     """
     n = as_index(n, "n")
     if n < 1:
         raise InvalidArgument(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return Factorization(())
     sieve = _default_sieve
     pairs: list[tuple[int, int]] = []
     residual = n
@@ -333,4 +341,4 @@ def factorize(n: int) -> Factorization:
                 pairs.append((residual, 1))
                 break
         idx += 1
-    return Factorization(tuple(pairs))
+    return _proven(tuple(pairs), n)

@@ -1,7 +1,7 @@
 """Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
 
-Each mutant breaks a contract the code states: a proven primality bound, an
-outward-rounded enclosure, an exact screening identity, the Eulerian form,
+Each mutant breaks a contract the code states: a proven primality bound, a
+factorization's proof, an outward-rounded enclosure, an exact screening identity, the Eulerian form,
 a result record's equality, the exact rendering of a certified constant,
 the printing of an integer past the int-to-str digit limit, the command
 line's parse, or the modules a call loads.  For each one the script copies the repository (without ``.git`` and
@@ -53,6 +53,12 @@ MUTANTS = [
         "primes.py",
         "_GCD_BOUND = (_START_LIMIT + 1) ** 2",
         "_GCD_BOUND = 1032**2",
+    ),
+    (
+        "factorize takes a residual that is the square of the next trial prime as prime",
+        "primes.py",
+        "if p * p > residual:",
+        "if p * p >= residual:",
     ),
     (
         "threshold upper end floored, not ceiled",

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnlab import cli, primes, screener
-from opnlab.cli import MAX_DECIMAL_DIGITS, _certified_digits, decimal_str, main, parse_factorization
+from opnlab.cli import (
+    MAX_DECIMAL_DIGITS,
+    _certified_digits,
+    _int_str,
+    decimal_str,
+    main,
+    parse_factorization,
+)
 from opnlab.constants import threshold_enclosure
 from opnlab.errors import ParseError
 from opnlab.exact_arith import MAX_MANTISSA_LENGTH
@@ -274,6 +281,73 @@ def test_an_integer_past_the_limit_exits_2_at_once(command, text, default_int_st
     assert err.startswith("error: integer '") and err.count("\n") == 1 and len(err) < 250
     assert "... (4301 characters) is longer than the limit of 4300 digits" in err
     assert err.endswith("; PYTHONINTMAXSTRDIGITS raises it\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radical", "3", "5", "7" * 5000],
+        ["radical", "7" * 5000, "3", "--mode", "alpha2"],
+        ["table", "--m-max", "9" * 5000],
+        ["table", "--m-min", "9" * 5000, "--format", "csv"],
+        ["table", "--alpha", "9" * 5000],
+        ["constants", "--alpha", "9" * 5000],
+    ],
+    ids=["radical", "radical_first", "m_max", "m_min", "table_alpha", "constants_alpha"],
+)
+def test_an_integer_option_past_the_limit_exits_2_in_one_short_line(argv, default_int_str_limit):
+    start = time.monotonic()
+    code, out, err = _printed(argv)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    long = next(token for token in argv if len(token) == 5000)
+    assert err == (
+        f"error: integer '{long[:100]}'... (5000 characters) is longer than the limit of "
+        "4300 digits; PYTHONINTMAXSTRDIGITS raises it\n"
+    )
+    assert len(err) < 250
+    # the plain reading leaves the call to argparse, which raises what main() printed
+    assert cli._plain_call(argv) is None
+    with pytest.raises(ParseError) as info:
+        cli.build_parser().parse_args(argv)
+    assert err == f"error: {info.value}\n"
+
+
+def test_a_short_non_integer_is_still_an_argparse_usage_error():
+    for argv, name in ((["table", "--m-max", "x"], "--m-max"), (["radical", "3", "x"], "primes")):
+        assert cli._plain_call(argv) is None
+        outcome = _parse_outcome(cli.build_parser().parse_args, argv)
+        assert outcome[:3] == ("exit", 2, "")
+        assert outcome[3].endswith(f": error: argument {name}: invalid int value: 'x'\n")
+
+
+_BITS_REFUSED = (
+    f"error: factorization is past {cli._MAX_FACTORIZATION_BITS} bits "
+    "(the sum of e * bit_length(p))\n"
+)
+
+
+# e * bit_length(p) bounds the bits p^e takes, so the cap is met before any
+# arithmetic; 3^5000000 alone would take minutes
+@pytest.mark.parametrize(
+    "text", ["3^5000000", "3^" + "1" * 4_300, "2^65537", "2^65536*3", "3*5^50000"]
+)
+@pytest.mark.parametrize("command", ["sigma", "screen"])
+def test_a_factorization_past_the_bit_cap_exits_2_at_once(command, text):
+    start = time.monotonic()
+    assert _printed([command, text, "--format", "csv"]) == (2, "", _BITS_REFUSED)
+    assert time.monotonic() - start < 1
+
+
+def test_the_bit_cap_admits_its_bound_and_bounds_a_decimal_n(default_int_str_limit):
+    assert cli._MAX_FACTORIZATION_BITS == 2 * 65536
+    code, out, err = _printed(["sigma", "2^65536", "--format", "csv"])
+    assert (code, err) == (0, "") and out.splitlines()[1].startswith(_int_str(2**65536) + ",")
+    # a decimal n counts as the one pair (n, 1), also with the digit limit lifted
+    sys.set_int_max_str_digits(0)
+    start = time.monotonic()
+    assert _printed(["sigma", "1" * 40_000]) == (2, "", _BITS_REFUSED)
+    assert time.monotonic() - start < 1
 
 
 def test_sigma_output_round_trips_through_parser():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import pytest
@@ -321,6 +322,77 @@ def test_factorize_reconstructs_input(n):
     f = factorize(n)
     assert f.n == n
     assert f.factors == trial_factorize(n)
+
+
+def _counting_is_prime(monkeypatch) -> list[int]:
+    """Record the argument of every primes.is_prime call from here on."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(primes, "is_prime", counting)
+    return calls
+
+
+# each residual that division leaves is proven by is_prime once, and no
+# prime that trial division found is proven again
+@pytest.mark.parametrize(
+    "n, residuals",
+    [
+        (9, []),
+        (75, [25]),
+        (945, [35, 7]),
+        (7**2 * 11**2, [121]),
+        (1031**2, []),
+        (1031 * 1033, [1033]),
+        (2 * 1000003, [1000003]),
+    ],
+)
+def test_factorize_proves_each_prime_once(n, residuals, monkeypatch):
+    calls = _counting_is_prime(monkeypatch)
+    f = factorize(n)
+    assert calls == residuals
+    assert f.factors == trial_factorize(n)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=10**9) | st.integers(10**6, 11 * 10**5))
+def test_factorize_calls_is_prime_on_residuals_only(n):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_is_prime(mp)
+        f = factorize(n)
+    assert len(calls) == len(set(calls))
+    # a prime of n that is_prime saw is the last, with exponent 1: a residual
+    assert all(f.factors[-1] == (p, 1) for p in calls if p in f.radical)
+
+
+# the residual is the square of the next trial prime, so only p * p > residual,
+# not >=, leaves it to be divided; the last two lie past the gcd bound 1025^2
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (9, ((3, 2),)),
+        (75, ((3, 1), (5, 2))),
+        (7**2 * 11**2, ((7, 2), (11, 2))),
+        (1031**2, ((1031, 2),)),
+        (1031 * 1033, ((1031, 1), (1033, 1))),
+    ],
+)
+def test_factorize_divides_a_residual_that_is_a_prime_square(n, factors):
+    f = factorize(n)
+    assert f.factors == factors and f.n == n
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=10**9))
+def test_factorize_builds_the_record_a_caller_would(n):
+    f = factorize(n)
+    g = Factorization(f.factors)  # validated
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g) and str(f) == str(g)
+    assert f.n == g.n == n and type(f.n) is int
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_factorization_validation():
