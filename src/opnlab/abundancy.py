@@ -14,7 +14,7 @@ import enum
 from fractions import Fraction
 from operator import index
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _digits
 from .exact_arith import Record, as_index
 from .primes import Factorization, _first_nonprime
 
@@ -64,15 +64,15 @@ def abundancy_report(f: Factorization) -> AbundancyReport:
 
 def _check_prime_set(primes) -> tuple[int, ...]:
     try:
-        ps = tuple(sorted(index(p) for p in primes))
+        ps = tuple(sorted(map(index, primes)))
     except TypeError as exc:
         raise InvalidArgument(f"primes must be integers: {exc}") from exc
-    for a, b in zip(ps, ps[1:]):
-        if a == b:
-            raise InvalidArgument(f"duplicate prime {a}")
+    if len(set(ps)) != len(ps):
+        duplicate = next(a for a, b in zip(ps, ps[1:]) if a == b)
+        raise InvalidArgument(f"duplicate prime {_digits(duplicate)}")
     bad = _first_nonprime(ps)
     if bad is not None:
-        raise InvalidArgument(f"{bad} is not prime")
+        raise InvalidArgument(f"{_digits(bad)} is not prime")
     return ps
 
 

@@ -36,10 +36,12 @@ def _quoted(value) -> str:
 
 
 def _digits(n: int) -> str:
-    """str(n) of n >= 0, but of n longer than _QUOTED_CHARS digits only the
+    """str(n), but of n longer than _QUOTED_CHARS digits only the sign and
     head, followed by its digit count.  No str() sees more than about
     _QUOTED_CHARS digits, so a long n prints under Python's default
     4,300-digit limit on int-to-str conversion."""
+    if n < 0:
+        return "-" + _digits(-n)
     # n has more than (bits - 1) * log10(2) digits, so n // 10**skip keeps
     # about _QUOTED_CHARS + 1 of them
     skip = max(0, n.bit_length() * 30103 // 100_000 - _QUOTED_CHARS - 1)

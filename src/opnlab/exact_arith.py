@@ -11,14 +11,17 @@ certified, by construction, to bracket some real constant.  Comparisons
 against a constant are made by ``constants.below``, which keeps its
 brackets as integers on a dyadic grid and refines them until it can answer
 True or False; a ``RatInterval`` is built only at the public entries of
-``constants``, so no table probe or radical case reads one.  ``Record`` is
-the base of the package's immutable result records.
+``constants``, so no table probe or radical case reads one.
+``_reduced_product`` multiplies two reduced fractions given as integer
+pairs with two small gcds, as the radical screen's case witnesses need.
+``Record`` is the base of the package's immutable result records.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from numbers import Rational as _RationalABC
 from operator import index
 
@@ -75,6 +78,28 @@ def as_index(value, name: str) -> int:
         return index(value)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+
+
+def _reduced_product(n: int, d: int, a: int, b: int) -> Fraction:
+    """(n/d) * (a/b) as a Fraction, for n/d and a/b in lowest terms with
+    d, b > 0: Knuth's reduced product (TAOCP vol. 2, 4.5.1), the rule
+    ``Fraction``'s own multiplication uses.
+
+    With g1 the gcd of n and b, and g2 that of a and d, the product is
+    (n/g1)(a/g2) / ((d/g2)(b/g1)), already in lowest terms: n/g1 is coprime
+    to d/g2 since gcd(n, d) = 1 and to b/g1 by the choice of g1, and a/g2 is
+    coprime to b/g1 since gcd(a, b) = 1 and to d/g2 by the choice of g2.
+    The denominator is positive, as d, b, g1 and g2 are.  So no third gcd
+    is taken; when n/d is large and a/b small, both gcds are large-by-small.
+    This is the one place the package writes a Fraction's slots, which
+    hold its numerator and denominator from Python 3.10 to 3.13 at least.
+    """
+    g1 = gcd(n, b)
+    g2 = gcd(a, d)
+    product = object.__new__(Fraction)
+    product._numerator = (n // g1) * (a // g2)
+    product._denominator = (d // g2) * (b // g1)
+    return product
 
 
 class Record:

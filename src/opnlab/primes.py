@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
+from itertools import filterfalse
 from operator import index
 
 from .errors import InvalidArgument, ResourceLimit, _digits
@@ -202,17 +203,20 @@ def _first_nonprime(ps: tuple[int, ...]) -> int | None:
 
     is_prime's tiers, each on the whole set at once: one superset test of
     the members up to 1024, one gcd of the product of the rest, then the
-    ladder from (1024 + 1)**2 on.  When a batch test fails, the members are
-    tested one by one in order, so the member named and any ResourceLimit
-    raised are those of is_prime on each member in turn.
+    ladder from (1024 + 1)**2 on.  Once the first two pass, every member
+    below (1024 + 1)**2 is prime, so the ladder's first failure, in
+    ascending order, is the answer.  When one of the first two fails, the
+    members are tested one by one in order, and the ladder has run on none
+    of them.  Either way the member named and any ResourceLimit raised are
+    those of is_prime on each member in turn, and no member runs the ladder
+    twice.
     """
     small = bisect_right(ps, _START_LIMIT)
     if (
         _START_PRIMES.issuperset(ps[:small])
         and math.gcd(math.prod(ps[small:]), _START_PRIMORIAL) == 1
-        and all(map(_ladder, ps[bisect_left(ps, _GCD_BOUND, small) :]))
     ):
-        return None
+        return next(filterfalse(_ladder, ps[bisect_left(ps, _GCD_BOUND, small) :]), None)
     return next((p for p in ps if not is_prime(p)), None)
 
 
@@ -259,14 +263,16 @@ class Factorization(Record):
         for p, e in factors:
             if p <= prev:
                 if p < 2:
-                    raise InvalidArgument(f"{p} is not prime")
+                    raise InvalidArgument(f"{_digits(p)} is not prime")
                 if p == prev:
-                    raise InvalidArgument(f"duplicate prime {p}")
-                raise InvalidArgument(f"primes must be strictly increasing, got {p} after {prev}")
+                    raise InvalidArgument(f"duplicate prime {_digits(p)}")
+                raise InvalidArgument(
+                    f"primes must be strictly increasing, got {_digits(p)} after {_digits(prev)}"
+                )
             if e < 1:
-                raise InvalidArgument(f"exponent for {p} must be >= 1, got {e}")
+                raise InvalidArgument(f"exponent for {_digits(p)} must be >= 1, got {_digits(e)}")
             if not is_prime(p):
-                raise InvalidArgument(f"{p} is not prime")
+                raise InvalidArgument(f"{_digits(p)} is not prime")
             prev = p
         Record.__init__(self, factors, None)
 

@@ -27,9 +27,13 @@ and every other exponent is exactly 2, so refuting it rests on Steuerwald's
 theorem (1937): no odd perfect number has the form q * prod p_i^2.
 
 A ``Fraction`` is built only for a witness, so a consistent verdict takes
-no gcd.  All witnesses are exact rationals.  A ``ScreenVerdict`` checks
-nothing itself: the screens give it a condition exactly when it violates,
-and a witness exactly for a condition other than NotOdd, EulerianForm and
+no gcd.  All witnesses are exact rationals.  An alpha = 2 refutation
+reduces case 2 once, to n/d; each special prime's witness is then the
+reduced product of n/d and q(q+1)/(q^2+q+1), which two small gcds,
+gcd(n, q^2+q+1) and gcd(q(q+1), d), bring to lowest terms
+(``exact_arith._reduced_product``).  A ``ScreenVerdict`` checks nothing
+itself: the screens give it a condition exactly when it violates, and a
+witness exactly for a condition other than NotOdd, EulerianForm and
 TooFewPrimeFactors.
 """
 
@@ -41,7 +45,7 @@ from fractions import Fraction
 from .abundancy import _check_prime_set, _truncated_pair, sigma
 from .constants import below
 from .errors import InvalidArgument
-from .exact_arith import Record
+from .exact_arith import Record, _reduced_product
 from .primes import Factorization
 
 MIN_DISTINCT_PRIMES = 9  # every odd perfect number has at least 9 distinct primes
@@ -158,13 +162,16 @@ def _screen_alpha2_combined(ps) -> ScreenVerdict:
             return _CONSISTENT
     elif not below(num, den, 2):
         return _CONSISTENT
-    # reduce case 2 once and swap each case in as a small reduced fraction:
-    # reducing each swapped pair would cost a big-by-big gcd per case
+    # reduce case 2 once and swap each case in by a reduced product, whose
+    # two gcds are large-by-small: reducing each swapped pair would cost a
+    # big-by-big gcd per case
     case2 = Fraction(num, den)
+    n, d = case2.numerator, case2.denominator
     cases = [("case2", case2)]
     for q in ps:
         if q % 4 == 1:
-            cases.append((f"case1[q={q}]", case2 * Fraction(q * (q + 1), q * q + q + 1)))
+            a = q * (q + 1)
+            cases.append((f"case1[q={q}]", _reduced_product(n, d, a, a + 1)))
     condition = (
         Condition.TRIPLE_EXCLUSION_357
         if {3, 5, 7} <= set(ps)

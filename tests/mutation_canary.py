@@ -1,13 +1,15 @@
 """Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
 
 Each mutant breaks a contract the code states: a proven primality bound, a
-factorization's proof, an outward-rounded enclosure, an exact screening identity, the Eulerian form,
-a result record's equality, the exact rendering of a certified constant,
-the printing of an integer past the int-to-str digit limit, the command
-line's parse, or the modules a call loads.  For each one the script copies the repository (without ``.git`` and
-caches) into a temporary directory, replaces one line, and runs ``pytest -x
--q`` there with a fixed hypothesis seed, so every run draws the same
-examples; the mutant is killed when pytest reports a failing test (exit 1).
+factorization's proof, an outward-rounded enclosure, an exact screening
+identity, a reduced case witness, the Eulerian form, a result record's
+equality, the exact rendering of a certified constant, the printing of an
+integer past the int-to-str digit limit, the command line's parse, or the
+modules a call loads.  For each one the script copies the repository
+(without ``.git`` and caches) into a temporary directory, replaces one
+line, and runs ``pytest -x -q`` there with a fixed hypothesis seed, so
+every run draws the same examples; the mutant is killed when pytest reports
+a failing test (exit 1).
 The unmutated copy runs first and must pass, so a suite that is already
 broken cannot kill anything by accident.
 
@@ -89,6 +91,12 @@ MUTANTS = [
         "screener.py",
         "elif not below(num, den, 2):",
         "elif not below(num, den, 1):",
+    ),
+    (
+        "a special prime's case witness is not reduced by gcd(n, q^2 + q + 1)",
+        "exact_arith.py",
+        "g1 = gcd(n, b)",
+        "g1 = 1",
     ),
     (
         "the Eulerian form asks for a special prime 3 mod 4",

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opnlab.abundancy import AbundancyReport, Classification
 from opnlab.bound_tables import BoundTableRow
@@ -13,6 +15,7 @@ from opnlab.exact_arith import (
     MAX_DECIMAL_EXPONENT,
     MAX_MANTISSA_LENGTH,
     RatInterval,
+    _reduced_product,
     as_rational,
 )
 from opnlab.primes import Factorization
@@ -67,6 +70,14 @@ def test_as_rational_bounds_the_mantissa():
     assert as_rational("0." + sevens + "e-5") == Fraction(int(sevens), 10 ** (len(sevens) + 5))
     threes = "3" * (MAX_MANTISSA_LENGTH - 2)
     assert as_rational("1/" + threes) == Fraction(1, int(threes))
+
+
+@given(st.fractions(), st.fractions())
+def test_the_reduced_product_is_fractions_own(x, y):
+    product = _reduced_product(x.numerator, x.denominator, y.numerator, y.denominator)
+    assert type(product) is Fraction
+    assert (product.numerator, product.denominator) == ((x * y).numerator, (x * y).denominator)
+    assert hash(product) == hash(x * y) and product == pickle.loads(pickle.dumps(product))
 
 
 def test_interval_validation():

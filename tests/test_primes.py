@@ -421,6 +421,25 @@ def test_factorization_errors_name_the_fault(factors, message):
         Factorization(factors)
 
 
+_LONG = 3**10_000  # 4772 digits, past Python's default int-to-str limit
+_LONG_TEXT = f"{_LONG // 10**4672}... (4772 digits)"
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        (((-_LONG, 1),), f"-{_LONG_TEXT} is not prime"),
+        (((3, 1), (_LONG, 1)), f"{_LONG_TEXT} is not prime"),
+        (((3, -_LONG),), f"exponent for 3 must be >= 1, got -{_LONG_TEXT}"),
+    ],
+    ids=["negative", "composite", "exponent"],
+)
+def test_factorization_errors_quote_a_long_integer_by_its_head(factors, message):
+    with pytest.raises(InvalidArgument) as info:
+        Factorization(factors)
+    assert str(info.value) == message
+
+
 def test_factorization_rejects_non_integral_entries():
     # (7.9, 1), (11, 2.5) was once read as 7 * 11^2
     for factors in (((7.9, 1), (11, 2.5)), ((7, 1), (11, 2.5)), ((7.0, 1),)):

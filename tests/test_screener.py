@@ -1,6 +1,8 @@
 import bisect
+import copy
 import functools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -124,6 +126,25 @@ def test_radical_screen_validation():
         radical_screen([3, 9])
     with pytest.raises(InvalidArgument):
         radical_screen([3, 3, 5])
+
+
+_LONG = 3**10_000  # 4772 digits, past Python's default int-to-str limit
+_LONG_TEXT = f"{_LONG // 10**4672}... (4772 digits)"
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([3, _LONG, 5, _LONG], f"duplicate prime {_LONG_TEXT}"),
+        ([3, _LONG, 5], f"{_LONG_TEXT} is not prime"),
+        ([3, -_LONG, 5], f"-{_LONG_TEXT} is not prime"),
+    ],
+    ids=["duplicate", "composite", "negative"],
+)
+def test_a_prime_set_error_quotes_a_long_integer_by_its_head(members, message):
+    with pytest.raises(InvalidArgument) as info:
+        radical_screen(members)
+    assert str(info.value) == message
 
 
 def test_radical_screen_rejects_non_integral_primes():
@@ -426,6 +447,36 @@ def test_every_mode_matches_naive_case_products(ps, mode):
     assert v.violates == (expected[0] is not None)
 
 
+_SPECIALS = [p for p in _ODD_PRIMES if p % 4 == 1]
+
+
+# sets refuted at alpha = 2 with many special primes: with 3, 5 and 7
+# every case lies at or above 2, and sets of specials above 100 put case 2
+# below the threshold
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.sets(st.sampled_from(_SPECIALS), min_size=5, max_size=60).map(lambda s: s | {3, 5, 7}),
+        st.sets(st.sampled_from([q for q in _SPECIALS if q > 100]), min_size=5, max_size=40),
+    )
+)
+def test_each_special_prime_witness_is_the_reduced_case_product(ps):
+    v = radical_screen(ps, Mode.ALPHA2_CASE1)
+    assert v.violates
+    (label, case2), *specials = v.case_witnesses
+    assert label == "case2" and len(specials) == sum(p % 4 == 1 for p in ps) >= 5
+    for label, witness in specials:
+        q = int(label.removeprefix("case1[q=").removesuffix("]"))
+        expected = case2 * Fraction(q * (q + 1), q * q + q + 1)
+        parts = (witness.numerator, witness.denominator)
+        assert parts == (expected.numerator, expected.denominator)
+        assert math.gcd(*parts) == 1 and parts[1] > 0
+        assert hash(witness) == hash(expected)
+        twins = (pickle.loads(pickle.dumps(witness)), copy.copy(witness), copy.deepcopy(witness))
+        for twin in twins:
+            assert twin == witness and (twin.numerator, twin.denominator) == parts
+
+
 def test_no_special_case_is_below_the_threshold_once_case_2_reaches_2():
     # case 1 is case 2 times q(q+1)/(q^2+q+1) >= 30/31, so with case 2 at or
     # above 2 it is at least 60/31; a case 1 below 2 therefore always survives,
@@ -570,6 +621,38 @@ def test_a_prime_set_is_proven_without_testing_members_one_by_one(monkeypatch):
     monkeypatch.setattr(primes, "is_prime", counting)
     radical_screen([3, 5, 1031, 1033, *_LADDER_PRIMES])
     assert calls == []
+    # a ladder failure names its member itself
     with pytest.raises(InvalidArgument, match="^1065023 is not prime$"):
         radical_screen([3, 5, 1031 * 1033, *_LADDER_PRIMES])
-    assert calls  # a failed batch test falls back to one member at a time
+    assert calls == []
+    # a failed gcd falls back to one member at a time
+    with pytest.raises(InvalidArgument, match="^1032247 is not prime$"):
+        radical_screen([3, 5, 1013 * 1019, *_LADDER_PRIMES])
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "members, error, match, tested",
+    [
+        # the ladder stops at its first failure, in ascending order
+        ((3, 5, 1031 * 1033, *_LADDER_PRIMES), InvalidArgument, "^1065023 ", [1050631, 1065023]),
+        ((3, 5, 1031**600), InvalidArgument, r"\(1808 digits\) is not prime$", [1031**600]),
+        ((3, 5, _M89, (2**61 - 1) * (2**31 - 1)), ResourceLimit, "psi_13", [_M89]),
+        # a failed gcd leaves the ladder to is_prime, member by member
+        ((3, 1013 * 1019, 1031 * 1033, _M89), InvalidArgument, "^1032247 ", []),
+        ((3, 1050631, _M89, 3 * _M89), ResourceLimit, "psi_13", [1050631, _M89]),
+    ],
+)
+def test_a_prime_set_runs_no_member_through_the_ladder_twice(
+    monkeypatch, members, error, match, tested
+):
+    calls = []
+
+    def counting(n, _real=primes._miller_rabin):
+        calls.append(n)
+        return _real(n)
+
+    monkeypatch.setattr(primes, "_miller_rabin", counting)
+    with pytest.raises(error, match=match):
+        radical_screen(members)
+    assert calls == tested
