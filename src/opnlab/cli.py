@@ -336,7 +336,10 @@ def _cmd_constants(args) -> int:
 # --- wiring --------------------------------------------------------------
 
 
-# subcommand -> (help, *argument specs); a spec is add_argument's (name, keywords)
+# subcommand -> (help, *argument specs); a spec is add_argument's (name, keywords).
+# _plain_call reads these as argparse does because every spec uses only help,
+# type, choices, default and nargs="+" (on a positional), and no default is a
+# str that a type would convert; test_cli checks that of every spec.
 _GRAMMAR = {
     "sigma": (
         "divisor sum and reciprocal-divisor sum",
@@ -366,11 +369,6 @@ _GRAMMAR = {
 _FORMAT = "--format", dict(choices=("human", "csv", "jsonl"), default="human", help="output format")
 
 
-# keywords _plain_call reads as argparse does; any other, nargs other than "+"
-# on a positional, or a str default with a type (argparse converts it) it leaves
-_PLAIN_KEYWORDS = {"help", "type", "choices", "default", "nargs"}
-
-
 def _plain_call(argv):
     """What ``build_parser().parse_args(argv)`` returns, read straight from
     ``_GRAMMAR``, when ``argv`` is a subcommand, then its options each by
@@ -395,10 +393,6 @@ def _plain_call(argv):
     for name, keywords in specs.items():
         default, plural = keywords.get("default"), keywords.get("nargs") == "+"
         option, dest = name.startswith("-"), name.lstrip("-").replace("-", "_")
-        if keywords.keys() - _PLAIN_KEYWORDS or keywords.get("nargs", "+") != "+" or (
-            plural and option or isinstance(default, str) and "type" in keywords
-        ):
-            return None
         strings, run = (given.get(name, ()), run) if option else (run, [])
         if not (option or len(strings) == 1 or plural and strings):
             return None

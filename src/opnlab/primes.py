@@ -1,21 +1,22 @@
 """Prime generation, primality testing, and desk-scale factorization.
 
 A single growable segmented sieve backs the indexed prime stream
-(``nth_prime``, ``primes_window``) and ``factorize``'s trial primes.
-``is_prime`` depends on n alone and never reads the sieve; it proves its
-answer in three tiers.  Up to 1024 it looks n up among the 172 primes up to
-1024.  Above it, one gcd with their product finds any factor up to 1024;
-below (1024 + 1)**2 = 1,050,625 no such factor proves n prime.  Up to
-psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a witness ladder: n
-below psi_k, the least strong pseudoprime to the first k prime bases, is
-decided by those k bases alone.  Past psi_13 a failed 13-base strong test
-proves n composite, and a pass raises ResourceLimit.  A set of primes is
-proven by the same tiers on the whole set: one superset test and one gcd,
-then the ladder for its members from 1,050,625 on.  ``factorize``'s record is
-its own proof, checked no further; only a caller's ``Factorization`` is
-validated.  No probabilistic answers are ever returned.  Every public entry
-point takes integers only (``operator.index``); anything else raises
-InvalidArgument naming the argument.
+(``nth_prime``, ``primes_window``) and ``factorize``'s trial primes.  It
+grows one way, by ``ensure_count``, and its ``primes`` are exactly the primes
+up to its ``limit``.  ``is_prime`` depends on n alone and never reads the
+sieve; it proves its answer in three tiers.  Up to 1024 it looks n up among
+the 172 primes up to 1024.  Above it, one gcd with their product finds any
+factor up to 1024; below (1024 + 1)**2 = 1,050,625 no such factor proves n
+prime.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a
+witness ladder: n below psi_k, the least strong pseudoprime to the first k
+prime bases, is decided by those k bases alone.  Past psi_13 a failed 13-base
+strong test proves n composite, and a pass raises ResourceLimit.  A set of
+primes is proven by the same tiers on the whole set: one superset test and
+one gcd, then the ladder for its members from 1,050,625 on.  ``factorize``'s
+record is its own proof, checked no further; only a caller's
+``Factorization`` is validated.  No probabilistic answers are ever returned.
+Every public entry point takes integers only (``operator.index``); anything
+else raises InvalidArgument naming the argument.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from itertools import filterfalse
+from itertools import compress, filterfalse
 from operator import index
 
 from .errors import InvalidArgument, ResourceLimit, _digits
@@ -76,58 +77,41 @@ _GCD_BOUND = (_START_LIMIT + 1) ** 2
 
 
 class _Sieve:
-    """Segmented sieve of Eratosthenes with an incremental, growable bound."""
+    """Segmented sieve of Eratosthenes: ``primes`` holds exactly the primes
+    up to ``limit``, and ``ensure_count`` is the one way to grow it."""
 
     def __init__(self, cap: int = DEFAULT_PRIME_CAP):
         cap = as_index(cap, "prime cap")
         if cap < 1:
             raise InvalidArgument(f"prime cap must be >= 1, got {cap}")
         self.cap = cap
-        self._lock = threading.RLock()
-        self._limit = _START_LIMIT
-        self._primes = _simple_sieve(_START_LIMIT)
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    @property
-    def primes(self) -> list[int]:
-        return self._primes
-
-    def ensure_limit(self, n: int) -> None:
-        """Extend the sieve so every prime <= n is present."""
-        with self._lock:
-            if n <= self._limit:
-                return
-            # base primes up to sqrt(n) must exist before segment marking
-            self.ensure_limit(math.isqrt(n) + 1)
-            target = max(n, 2 * self._limit)
-            lo = self._limit + 1
-            while lo <= target:
-                hi = min(lo + _SEGMENT, target + 1)
-                mark = bytearray([1]) * (hi - lo)
-                for p in self._primes:
-                    if p * p >= hi:
-                        break
-                    start = max(p * p, ((lo + p - 1) // p) * p)
-                    step = (hi - 1 - start) // p + 1
-                    mark[start - lo :: p] = b"\x00" * step
-                self._primes.extend(i + lo for i, f in enumerate(mark) if f)
-                lo = hi
-            self._limit = target
+        self._lock = threading.Lock()
+        self.limit = _START_LIMIT
+        self.primes = sorted(_START_PRIMES)
 
     def ensure_count(self, k: int) -> None:
         """Grow until at least k primes are sieved; k must respect the cap."""
         if k > self.cap:
             raise ResourceLimit(f"requested prime #{k} exceeds the sieve cap of {self.cap}")
         with self._lock:
-            while len(self._primes) < k:
+            while len(self.primes) < k:
                 kk = max(k, 6)
                 # Rosser bound p_k < k(ln k + ln ln k), padded; the loop
-                # re-doubles if the estimate ever falls short.
+                # re-doubles if the estimate ever falls short.  The primes
+                # held mark every composite up to limit**2, so no step
+                # needs base primes it does not hold.
                 est = int(kk * (math.log(kk) + math.log(math.log(kk)))) + 16
-                self.ensure_limit(max(est, 2 * self._limit))
+                top = min(max(est, 2 * self.limit), self.limit**2) + 1
+                for lo in range(self.limit + 1, top, _SEGMENT):
+                    hi = min(lo + _SEGMENT, top)
+                    mark = bytearray([1]) * (hi - lo)
+                    for p in self.primes:
+                        if p * p >= hi:
+                            break
+                        start = max(p * p, -(-lo // p) * p)
+                        mark[start - lo :: p] = b"\x00" * ((hi - 1 - start) // p + 1)
+                    self.primes.extend(compress(range(lo, hi), mark))
+                self.limit = top - 1
 
 
 _default_sieve = _Sieve()
@@ -222,19 +206,12 @@ def _first_nonprime(ps: tuple[int, ...]) -> int | None:
 
 def nth_prime(k: int) -> int:
     """The k-th prime, 1-based (p_1 = 2)."""
-    k = as_index(k, "prime index")
-    if k < 1:
-        raise InvalidArgument(f"prime index must be >= 1, got {k}")
-    sieve = _default_sieve
-    sieve.ensure_count(k)
-    return sieve.primes[k - 1]
+    return primes_window(k, 1)[0]
 
 
 def primes_window(start: int, count: int) -> list[int]:
     """Consecutive primes p_start .. p_{start+count-1}; empty when count = 0."""
-    # hot path, one call per window product: plain ints skip the calls
-    if type(start) is not int or type(count) is not int:
-        start, count = as_index(start, "prime index"), as_index(count, "window count")
+    start, count = as_index(start, "prime index"), as_index(count, "window count")
     if start < 1:
         raise InvalidArgument(f"prime index must be >= 1, got {start}")
     if count < 0:

@@ -1,11 +1,12 @@
 """Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
 
-Each mutant breaks a contract the code states: a proven primality bound, a
-factorization's proof, an outward-rounded enclosure, an exact screening
-identity, a reduced case witness, the Eulerian form, a result record's
-equality, the exact rendering of a certified constant, the printing of an
-integer past the int-to-str digit limit, the command line's parse, or the
-modules a call loads.  For each one the script copies the repository
+Each mutant breaks a contract the code states: a proven primality bound, the
+prime stream holding exactly the primes up to its bound, a factorization's
+proof, an outward-rounded enclosure, an exact screening identity, a reduced
+case witness, the Eulerian form, a result record's equality, the exact
+rendering of a certified constant, the printing of an integer past the
+int-to-str digit limit, the command line's parse, or the modules a call
+loads.  For each one the script copies the repository
 (without ``.git`` and caches) into a temporary directory, replaces one
 line, and runs ``pytest -x -q`` there with a fixed hypothesis seed, so
 every run draws the same examples; the mutant is killed when pytest reports
@@ -55,6 +56,12 @@ MUTANTS = [
         "primes.py",
         "_GCD_BOUND = (_START_LIMIT + 1) ** 2",
         "_GCD_BOUND = 1032**2",
+    ),
+    (
+        "a sieve segment marks each prime's multiples from the one below its start",
+        "primes.py",
+        "start = max(p * p, -(-lo // p) * p)",
+        "start = max(p * p, lo // p * p)",
     ),
     (
         "factorize takes a residual that is the square of the next trial prime as prime",

@@ -321,6 +321,19 @@ def test_a_short_non_integer_is_still_an_argparse_usage_error():
         assert outcome[3].endswith(f": error: argument {name}: invalid int value: 'x'\n")
 
 
+def test_every_grammar_spec_is_one_the_plain_reading_reads():
+    # _plain_call reads a spec as argparse does only through these keywords,
+    # nargs="+" only on a positional, and a default only as its own value
+    # (argparse would convert a str default through its type)
+    for command, (_, *specs) in cli._GRAMMAR.items():
+        for name, keywords in (*specs, cli._FORMAT):
+            where = f"{command} {name}"
+            assert keywords.keys() <= {"help", "type", "choices", "default", "nargs"}, where
+            assert keywords.get("nargs", "+") == "+", where
+            assert not ("nargs" in keywords and name.startswith("-")), where
+            assert not (isinstance(keywords.get("default"), str) and "type" in keywords), where
+
+
 _BITS_REFUSED = (
     f"error: factorization is past {cli._MAX_FACTORIZATION_BITS} bits "
     "(the sum of e * bit_length(p))\n"

@@ -1,6 +1,7 @@
 import math
 import pickle
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -463,6 +464,49 @@ def test_sieve_cap_is_enforced():
     sieve.ensure_count(10)
     with pytest.raises(ResourceLimit):
         sieve.ensure_count(11)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(1,), (173,), (82_025,), (5_000, 82_100, 170_000)],
+    ids=["start", "one_step", "to_1024_squared", "past_segments"],
+)
+def test_grown_sieve_holds_exactly_the_primes_up_to_its_limit(counts):
+    # pi(1024^2) = 82,025, so 82,025 primes take one step capped at the
+    # square of the start bound; the last growth steps past 2^20 and 2^21,
+    # each in two 2^20-wide segments
+    sieve = _Sieve()
+    for k in counts:
+        sieve.ensure_count(k)
+        assert len(sieve.primes) >= k
+    flags = sieve_flags(sieve.limit)
+    assert sieve.primes == [n for n in range(sieve.limit + 1) if flags[n]]
+
+
+def test_threads_growing_one_sieve_leave_exactly_its_primes():
+    # four threads released together grow one fresh sieve by interleaved
+    # counts; a step two threads both take sieves a range twice
+    sieve = _Sieve()
+    start = threading.Barrier(4)
+
+    def grow(offset):
+        start.wait(timeout=30)
+        for k in range(200 + offset, 20_000, 499):
+            sieve.ensure_count(k)
+
+    threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    flags = sieve_flags(sieve.limit)
+    assert sieve.primes == [n for n in range(sieve.limit + 1) if flags[n]]
 
 
 def test_nth_prime_beyond_cap_raises():

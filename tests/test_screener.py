@@ -510,7 +510,7 @@ def _log_uniform_prime(u):
 @functools.cache
 def _grown_sieve():
     sieve = primes._Sieve()
-    sieve.ensure_limit(_RADICAL_LIMIT)
+    sieve.ensure_count(148_933)  # every prime below _RADICAL_LIMIT
     return sieve
 
 
@@ -532,8 +532,9 @@ def _screen_on(sieve, ps):
     )
 )
 def test_radical_verdict_does_not_depend_on_how_its_primes_were_proven(ps):
-    # on a fresh sieve every prime above 1024 is proven by gcd or
-    # Miller-Rabin; on the grown one every prime is a sieve lookup
+    # is_prime never reads the sieve: on a fresh sieve and on one grown
+    # past every member, each prime above 1024 is proven by gcd or
+    # Miller-Rabin alike
     fresh = primes._Sieve()
     on_fresh = _screen_on(fresh, ps)
     assert fresh.limit == 1024
