@@ -11,6 +11,7 @@ possible.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from operator import index
 
@@ -79,16 +80,15 @@ def _check_prime_set(primes) -> tuple[int, ...]:
 def _truncated_pair(primes, h: int, num: int = 1, den: int = 1) -> tuple[int, int]:
     """Unreduced (num, den) of num/den * prod over primes of sum_{i=0..h} p^-i.
 
-    Builds truncated products over arbitrary prime sets, such as the radical
-    screen's; each factor is (1 + p + ... + p^h) / p^h, and no gcd is taken.
+    Builds truncated products over arbitrary prime sequences, such as the
+    radical screen's; each factor is (1 + p + ... + p^h) / p^h, the
+    denominators are one product, and no gcd is taken.
     Bound-table windows, over consecutive primes, give the same integers
     from ``bound_tables``' per-alpha store of the factor numerators.
     """
     for p in primes:
-        power = p**h
-        num *= (power * p - 1) // (p - 1)
-        den *= power
-    return num, den
+        num *= (p ** (h + 1) - 1) // (p - 1)
+    return num, den * math.prod(primes) ** h
 
 
 def truncated_product(primes, alpha: int) -> Fraction:

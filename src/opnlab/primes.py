@@ -4,19 +4,20 @@ A single growable segmented sieve backs the indexed prime stream
 (``nth_prime``, ``primes_window``) and ``factorize``'s trial primes.  It
 grows one way, by ``ensure_count``, and its ``primes`` are exactly the primes
 up to its ``limit``.  ``is_prime`` depends on n alone and never reads the
-sieve; it proves its answer in three tiers.  Up to 1024 it looks n up among
-the 172 primes up to 1024.  Above it, one gcd with their product finds any
-factor up to 1024; below (1024 + 1)**2 = 1,050,625 no such factor proves n
-prime.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a
-witness ladder: n below psi_k, the least strong pseudoprime to the first k
-prime bases, is decided by those k bases alone.  Past psi_13 a failed 13-base
-strong test proves n composite, and a pass raises ResourceLimit.  A set of
-primes is proven by the same tiers on the whole set: one superset test and
-one gcd, then the ladder for its members from 1,050,625 on.  ``factorize``'s
-record is its own proof, checked no further; only a caller's
-``Factorization`` is validated.  No probabilistic answers are ever returned.
-Every public entry point takes integers only (``operator.index``); anything
-else raises InvalidArgument naming the argument.
+sieve; it proves its answer in three tiers.  Up to 2048 it looks n up among
+the 309 primes up to 2048.  Above it, one gcd with their product finds any
+factor up to 2048; below (2048 + 1)**2 = 4,198,401, past 2**22, no such
+factor proves n prime.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin
+runs with a witness ladder: n below psi_k, the least strong pseudoprime to
+the first k prime bases, is decided by those k bases alone.  Past psi_13 a
+failed 13-base strong test proves n composite, and a pass raises
+ResourceLimit.  A set of primes is proven by the same tiers on the whole
+set: one superset test and one gcd, then the ladder for its members from
+4,198,401 on.  ``factorize``'s record is its own proof, checked no further;
+only a caller's ``Factorization`` is validated.  No probabilistic answers
+are ever returned.  Every public entry point takes integers only
+(``operator.index``); anything else raises InvalidArgument naming the
+argument.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ def _simple_sieve(limit: int) -> list[int]:
 
 
 # Every sieve starts with the primes up to _START_LIMIT, and one gcd with
-# their product trial-divides by all 172 of them.  A composite below
+# their product trial-divides by all 309 of them.  A composite below
 # (_START_LIMIT + 1)**2 has a prime factor <= _START_LIMIT, so below that
 # bound a gcd of 1 proves n prime.
-_START_LIMIT = 1024
+_START_LIMIT = 2048
 _START_PRIMES = frozenset(_simple_sieve(_START_LIMIT))
 _START_PRIMORIAL = math.prod(_START_PRIMES)
 _GCD_BOUND = (_START_LIMIT + 1) ** 2
@@ -153,7 +154,7 @@ def _miller_rabin(n: int) -> bool:
 
 
 def _ladder(n: int) -> bool:
-    """is_prime's last tier, for n >= _GCD_BOUND with no factor up to 1024."""
+    """is_prime's last tier, for n >= _GCD_BOUND with no factor up to 2048."""
     if not _miller_rabin(n):
         return False
     if n < _MR_BOUND:
@@ -167,10 +168,10 @@ def _ladder(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test of n alone; never probabilistic.
 
-    Three tiers: membership among the primes up to 1024; one gcd with their
-    product, which decides n below (1024 + 1)**2 = 1,050,625; then
-    Miller-Rabin with the bases the witness ladder gives n's size (2 below
-    1,373,653, all 13 from psi_12 to psi_13 = 3.3e24).  Past psi_13 a failed
+    Three tiers: membership among the primes up to 2048; one gcd with their
+    product, which decides n below (2048 + 1)**2 = 4,198,401; then
+    Miller-Rabin with the bases the witness ladder gives n's size (3 below
+    25,326,001, all 13 from psi_12 to psi_13 = 3.3e24).  Past psi_13 a failed
     13-base strong test proves n composite; a pass raises ResourceLimit.
     """
     if type(n) is not int:  # hot path: plain ints skip the call
@@ -186,9 +187,9 @@ def _first_nonprime(ps: tuple[int, ...]) -> int | None:
     """The smallest member of the ascending ints ps that is not prime, or None.
 
     is_prime's tiers, each on the whole set at once: one superset test of
-    the members up to 1024, one gcd of the product of the rest, then the
-    ladder from (1024 + 1)**2 on.  Once the first two pass, every member
-    below (1024 + 1)**2 is prime, so the ladder's first failure, in
+    the members up to 2048, one gcd of the product of the rest, then the
+    ladder from (2048 + 1)**2 on.  Once the first two pass, every member
+    below (2048 + 1)**2 is prime, so the ladder's first failure, in
     ascending order, is the answer.  When one of the first two fails, the
     members are tested one by one in order, and the ladder has run on none
     of them.  Either way the member named and any ResourceLimit raised are

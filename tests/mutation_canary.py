@@ -52,10 +52,10 @@ MUTANTS = [
         "for a in _MR_WITNESSES[: bisect_left(_MR_PSI, n) + 1]:",
     ),
     (
-        "gcd proves primes up to 1032^2, past (1024 + 1)^2",
+        "gcd proves primes up to 2056^2, past 2049^2",
         "primes.py",
         "_GCD_BOUND = (_START_LIMIT + 1) ** 2",
-        "_GCD_BOUND = 1032**2",
+        "_GCD_BOUND = 2056**2",
     ),
     (
         "a sieve segment marks each prime's multiples from the one below its start",

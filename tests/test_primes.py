@@ -236,32 +236,49 @@ def test_is_prime_agrees_with_sieve_oracle_exhaustively():
     assert mismatches == []
 
 
-GCD_BOUND = 1025**2  # every composite below it has a prime factor <= 1024
+GCD_BOUND = 2049**2  # every composite below it has a prime factor <= 2048
+
+
+def fresh_sieve_mismatches(ranges):
+    """The n in ranges on which is_prime, over a fresh default sieve that
+    stays at its start bound 2048 throughout, disagrees with sieve_flags."""
+    flags = sieve_flags(max(r[-1] for r in ranges))
+    set_prime_cap(DEFAULT_PRIME_CAP)
+    try:
+        assert primes._default_sieve.limit == 2048
+        mismatches = [n for r in ranges for n in r if is_prime(n) != bool(flags[n])]
+        assert primes._default_sieve.limit == 2048
+    finally:
+        set_prime_cap(DEFAULT_PRIME_CAP)
+    return mismatches
 
 
 def test_is_prime_agrees_with_sieve_oracle_on_a_fresh_sieve():
-    # every n above 1024 takes the gcd tier, and the sieve stays at 1024
-    limit = 1_060_000
-    flags = sieve_flags(limit)
-    set_prime_cap(DEFAULT_PRIME_CAP)
-    try:
-        assert primes._default_sieve.limit == 1024
-        mismatches = [n for n in range(limit + 1) if is_prime(n) != bool(flags[n])]
-        assert primes._default_sieve.limit == 1024
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
-    assert mismatches == []
+    # every n above 2048 takes the gcd tier: every n up to 1.06e6, and 10^5
+    # on either side of 2048^2 and of the gcd bound 2049^2; CI's checks job
+    # runs every n up to 2049^2 + 10^4
+    ranges = (range(1_060_001), range(2048**2 - 10**5, GCD_BOUND + 10**5 + 1))
+    assert fresh_sieve_mismatches(ranges) == []
 
 
 @pytest.mark.parametrize(
     "n, expected",
     [
-        (1021**2, False),  # the square of the largest starting prime
-        (GCD_BOUND, False),
-        (1050611, True),  # the primes on either side of the bound
+        # below the bound the gcd decides: 1021^2, 1025^2 and the primes on
+        # either side of it, and 1031^2 and 1031 * 1033, which only the start
+        # primes past 1024 divide
+        (1021**2, False),
+        (1025**2, False),
+        (1050611, True),
         (1050631, True),
-        (1031**2, False),  # the least composites with no factor <= 1024
+        (1031**2, False),
         (1031 * 1033, False),
+        (2039**2, False),  # the square of the largest starting prime
+        (GCD_BOUND, False),
+        (4198379, True),  # the primes on either side of the bound
+        (4198409, True),
+        (2053**2, False),  # the least composites with no factor <= 2048
+        (2053 * 2063, False),
     ],
 )
 def test_is_prime_across_the_gcd_bound_on_a_fresh_sieve(n, expected):
@@ -277,14 +294,14 @@ def test_is_prime_across_the_gcd_bound_on_a_fresh_sieve(n, expected):
 def test_strong_test_rejects_composites_past_psi_13():
     set_prime_cap(DEFAULT_PRIME_CAP)  # a fresh sieve at the default cap
     n = (2**61 - 1) * (2**31 - 1)
-    assert n > PSI[-1] and math.gcd(n, math.prod(range(1, 1025))) == 1
+    assert n > PSI[-1] and math.gcd(n, math.prod(range(1, 2049))) == 1
     assert not is_prime(n)
-    assert not is_prime(PSI[-1] * 1031)
+    assert not is_prime(PSI[-1] * 2053)
     # psi_13 passes all 13 bases, and a prime passes them all too
     for n in (PSI[-1], 2**89 - 1, 2**107 - 1, 2**127 - 1):
         with pytest.raises(ResourceLimit, match="psi_13"):
             is_prime(n)
-    assert len(primes._default_sieve.primes) == 172
+    assert len(primes._default_sieve.primes) == 309
 
 
 @pytest.mark.parametrize("grown", [False, True], ids=["cap_1", "grown_past_1e6"])
@@ -359,7 +376,7 @@ def test_factorize_proves_each_prime_once(n, residuals, monkeypatch):
 
 
 @settings(deadline=None)
-@given(st.integers(min_value=1, max_value=10**9) | st.integers(10**6, 11 * 10**5))
+@given(st.integers(min_value=1, max_value=10**9) | st.integers(41 * 10**5, 43 * 10**5))
 def test_factorize_calls_is_prime_on_residuals_only(n):
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_is_prime(mp)
@@ -370,7 +387,7 @@ def test_factorize_calls_is_prime_on_residuals_only(n):
 
 
 # the residual is the square of the next trial prime, so only p * p > residual,
-# not >=, leaves it to be divided; the last two lie past the gcd bound 1025^2
+# not >=, leaves it to be divided; the last two lie past the gcd bound 2049^2
 @pytest.mark.parametrize(
     "n, factors",
     [
@@ -379,6 +396,8 @@ def test_factorize_calls_is_prime_on_residuals_only(n):
         (7**2 * 11**2, ((7, 2), (11, 2))),
         (1031**2, ((1031, 2),)),
         (1031 * 1033, ((1031, 1), (1033, 1))),
+        (2053**2, ((2053, 2),)),
+        (2053 * 2063, ((2053, 1), (2063, 1))),
     ],
 )
 def test_factorize_divides_a_residual_that_is_a_prime_square(n, factors):
@@ -468,13 +487,13 @@ def test_sieve_cap_is_enforced():
 
 @pytest.mark.parametrize(
     "counts",
-    [(1,), (173,), (82_025,), (5_000, 82_100, 170_000)],
-    ids=["start", "one_step", "to_1024_squared", "past_segments"],
+    [(1,), (310,), (295_947,), (5_000, 82_100, 296_000)],
+    ids=["start", "one_step", "to_2048_squared", "past_segments"],
 )
 def test_grown_sieve_holds_exactly_the_primes_up_to_its_limit(counts):
-    # pi(1024^2) = 82,025, so 82,025 primes take one step capped at the
-    # square of the start bound; the last growth steps past 2^20 and 2^21,
-    # each in two 2^20-wide segments
+    # pi(2048^2) = 295,947, so 295,947 primes take one step capped at the
+    # square of the start bound; of the last two growths one steps past 2^20
+    # in two 2^20-wide segments, the other past 2^21 and 2^22 = 2048^2 in four
     sieve = _Sieve()
     for k in counts:
         sieve.ensure_count(k)

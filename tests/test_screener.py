@@ -533,27 +533,26 @@ def _screen_on(sieve, ps):
 )
 def test_radical_verdict_does_not_depend_on_how_its_primes_were_proven(ps):
     # is_prime never reads the sieve: on a fresh sieve and on one grown
-    # past every member, each prime above 1024 is proven by gcd or
-    # Miller-Rabin alike
+    # past every member, each prime above 2048 is proven by the gcd alike
     fresh = primes._Sieve()
     on_fresh = _screen_on(fresh, ps)
-    assert fresh.limit == 1024
+    assert fresh.limit == 2048
     # equal outcome, condition, witness and case witnesses
     assert on_fresh == _screen_on(_grown_sieve(), ps)
 
 
-# primes from 1025^2 = 1,050,625 on, which only the Miller-Rabin ladder proves
-_LADDER_PRIMES = (1050631, 1999993, 2**31 - 1, 10**12 + 39, 2**61 - 1, 2**64 - 59)
-# non-primes for each tier: 0, 1 and 9 by the set lookup; 1013 * 1019 and
-# 1025^2 by the gcd; 1031 * 1033, psi_3 = 2251 * 11251, psi_5 = 6763 * 10627
-# * 29947 and 1000003 * 1000033, whose factors all pass 1024, by the ladder
+# primes from 2049^2 = 4,198,401 on, which only the Miller-Rabin ladder proves
+_LADDER_PRIMES = (4198409, 2**23 - 15, 2**31 - 1, 10**12 + 39, 2**61 - 1, 2**64 - 59)
+# non-primes for each tier: 0, 1 and 9 by the set lookup; 2029 * 2039 and
+# 2049^2 by the gcd; 2053 * 2063, psi_3 = 2251 * 11251, psi_5 = 6763 * 10627
+# * 29947 and 1000003 * 1000033, whose factors all pass 2048, by the ladder
 _NON_PRIMES = (
     0,
     1,
     9,
-    1013 * 1019,
-    1025**2,
-    1031 * 1033,
+    2029 * 2039,
+    2049**2,
+    2053 * 2063,
     25326001,
     2152302898747,
     1000003 * 1000033,
@@ -568,8 +567,8 @@ _SET_SCREENS = (
 @given(
     ps=st.sets(
         st.one_of(
-            st.sampled_from(_ODD_PRIMES[:171]),  # the odd primes up to 1024
-            st.integers(0, 10**6).map(_log_uniform_prime),  # 3 .. 2e6, every tier
+            st.sampled_from(_ODD_PRIMES[:308]),  # the odd primes up to 2048
+            st.integers(0, 10**6).map(_log_uniform_prime),  # 3 .. 2e6, lookup and gcd
             st.sampled_from(_LADDER_PRIMES),
         ),
         max_size=30,
@@ -597,7 +596,7 @@ _M89 = 2**89 - 1  # a prime past psi_13, which no tier can prove
     "members, error, match",
     [
         # the smaller composite is named before the prime past psi_13
-        ((3, 1031 * 1033, _M89), InvalidArgument, f"^{1031 * 1033} is not prime$"),
+        ((3, 1000003 * 1000033, _M89), InvalidArgument, f"^{1000003 * 1000033} is not prime$"),
         ((3, 9, 5, _M89), InvalidArgument, "^9 is not prime$"),
         # past psi_13 the prime is reached first, even when the gcd of the
         # set fails on a larger member
@@ -620,15 +619,15 @@ def test_a_prime_set_is_proven_without_testing_members_one_by_one(monkeypatch):
         return _real(n)
 
     monkeypatch.setattr(primes, "is_prime", counting)
-    radical_screen([3, 5, 1031, 1033, *_LADDER_PRIMES])
+    radical_screen([3, 5, 2053, 2063, *_LADDER_PRIMES])
     assert calls == []
     # a ladder failure names its member itself
-    with pytest.raises(InvalidArgument, match="^1065023 is not prime$"):
-        radical_screen([3, 5, 1031 * 1033, *_LADDER_PRIMES])
+    with pytest.raises(InvalidArgument, match="^4235339 is not prime$"):
+        radical_screen([3, 5, 2053 * 2063, *_LADDER_PRIMES])
     assert calls == []
     # a failed gcd falls back to one member at a time
-    with pytest.raises(InvalidArgument, match="^1032247 is not prime$"):
-        radical_screen([3, 5, 1013 * 1019, *_LADDER_PRIMES])
+    with pytest.raises(InvalidArgument, match="^4137131 is not prime$"):
+        radical_screen([3, 5, 2029 * 2039, *_LADDER_PRIMES])
     assert calls
 
 
@@ -636,12 +635,12 @@ def test_a_prime_set_is_proven_without_testing_members_one_by_one(monkeypatch):
     "members, error, match, tested",
     [
         # the ladder stops at its first failure, in ascending order
-        ((3, 5, 1031 * 1033, *_LADDER_PRIMES), InvalidArgument, "^1065023 ", [1050631, 1065023]),
-        ((3, 5, 1031**600), InvalidArgument, r"\(1808 digits\) is not prime$", [1031**600]),
+        ((3, 5, 2053 * 2063, *_LADDER_PRIMES), InvalidArgument, "^4235339 ", [4198409, 4235339]),
+        ((3, 5, 2053**600), InvalidArgument, r"\(1988 digits\) is not prime$", [2053**600]),
         ((3, 5, _M89, (2**61 - 1) * (2**31 - 1)), ResourceLimit, "psi_13", [_M89]),
         # a failed gcd leaves the ladder to is_prime, member by member
-        ((3, 1013 * 1019, 1031 * 1033, _M89), InvalidArgument, "^1032247 ", []),
-        ((3, 1050631, _M89, 3 * _M89), ResourceLimit, "psi_13", [1050631, _M89]),
+        ((3, 2029 * 2039, 2053 * 2063, _M89), InvalidArgument, "^4137131 ", []),
+        ((3, 4198409, _M89, 3 * _M89), ResourceLimit, "psi_13", [4198409, _M89]),
     ],
 )
 def test_a_prime_set_runs_no_member_through_the_ladder_twice(
