@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import index
 
 from .errors import InvalidArgument, _digits
-from .exact_arith import Record, as_index
+from .exact_arith import Record, _geometric_sum, _geometric_sums, as_index
 from .primes import Factorization, _first_nonprime
 
 
@@ -41,7 +41,7 @@ def sigma(f: Factorization) -> int:
     """Exact divisor sum; 1 for the empty factorization."""
     total = 1
     for p, h in f.factors:
-        total *= (p ** (h + 1) - 1) // (p - 1)
+        total *= _geometric_sum(p, h)
     return total
 
 
@@ -80,15 +80,15 @@ def _check_prime_set(primes) -> tuple[int, ...]:
 def _truncated_pair(primes, h: int, num: int = 1, den: int = 1) -> tuple[int, int]:
     """Unreduced (num, den) of num/den * prod over primes of sum_{i=0..h} p^-i.
 
-    Builds truncated products over arbitrary prime sequences, such as the
-    radical screen's; each factor is (1 + p + ... + p^h) / p^h, the
-    denominators are one product, and no gcd is taken.
-    Bound-table windows, over consecutive primes, give the same integers
-    from ``bound_tables``' per-alpha store of the factor numerators.
+    Each factor is (1 + p + ... + p^h) / p^h, its numerator from
+    ``exact_arith._geometric_sums`` (p(p + 1) + 1 = (p^3 - 1)/(p - 1) at
+    h = 2); the numerators and the denominators are one product each, and
+    no gcd is taken.  The radical screen and the bound-table windows form
+    the same integers from the same numerators, the screen with its
+    radical formed once for both alphas, the windows from ``bound_tables``'
+    per-alpha store.
     """
-    for p in primes:
-        num *= (p ** (h + 1) - 1) // (p - 1)
-    return num, den * math.prod(primes) ** h
+    return num * math.prod(_geometric_sums(primes, h)), den * math.prod(primes) ** h
 
 
 def truncated_product(primes, alpha: int) -> Fraction:

@@ -23,13 +23,13 @@ index, so a row then costs a few window products per column.
 Arguments are checked once, at the public entries.  A probe is the window
 product as an unreduced integer pair (num, den), prefix included: num is
 the prefix numerator times the product of the factor numerators
-sigma_alpha(p) = (p^(alpha+1) - 1) / (p - 1) over the window, den the prefix
-denominator times (prod p)^alpha.  These are the integers
-``abundancy._truncated_pair`` builds for the radical screen, but both
-products read a per-alpha store indexed like the prime stream: the
-numerators sigma_alpha(p), built once per prime rather than once per probe,
-and the primes themselves, so a probe is two C-level products over two list
-slices.
+sigma_alpha(p) = 1 + p + ... + p^alpha over the window, den the prefix
+denominator times (prod p)^alpha.  These are the integers of
+``abundancy._truncated_pair``, but both products read a per-alpha store
+indexed like the prime stream: the numerators, which
+``exact_arith._geometric_sums`` computes once per prime as the store grows
+rather than once per probe, and the primes themselves, so a probe is two
+C-level products over two list slices.
 A probe takes no sieve lock: it compares its last index with the sieve cap
 and calls the sieve only to raise its ResourceLimit past the cap, or to
 grow the store; a table row reads its three primes from the store too.
@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .constants import below
 from .errors import InvalidArgument
-from .exact_arith import Record, as_index
+from .exact_arith import Record, _geometric_sums, as_index
 from .primes import nth_prime, prime_cap, primes_window
 
 TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
@@ -102,7 +102,7 @@ def _factors(alpha: int, count: int) -> tuple[list[int], list[int]]:
         # the lists O(log) times
         size = max(count, min(2 * len(sigmas), prime_cap()))
         new = primes_window(len(sigmas) + 1, size - len(sigmas))
-        sigmas = sigmas + [(p ** (alpha + 1) - 1) // (p - 1) for p in new]
+        sigmas = sigmas + _geometric_sums(new, alpha)
         primes = primes + new
         cell[0] = sigmas, primes
     return sigmas, primes

@@ -13,13 +13,16 @@ Three layers, from structural to analytic:
   all-exponents->=2 case via prod(1+1/p+1/p^2), each tested against
   16/(7*zeta(3)) and 2.
 
-Each product is an unreduced integer pair (num, den) from
-``abundancy._truncated_pair``, decided like the bound-table windows: the
-upper bound by num >= 2 * den, the threshold by ``constants.below``, which
-cross-multiplies against a certified bracket, finer only if needed.  The
-alpha = 2 screen builds the all-even pair once; each special-prime case
-is that pair times q(q+1) / (q^2+q+1), and at most one of them is ever
-compared (see ``_screen_alpha2_combined``).
+Each product is an unreduced integer pair (num, den), the integers of
+``abundancy._truncated_pair``: the radical rad = prod p is formed once per
+set, den is rad for alpha = 1 and rad * rad for alpha = 2, and num is one
+product of the closed-form factors p + 1 or p(p + 1) + 1 from
+``exact_arith._geometric_sums``.  A pair is decided like the bound-table
+windows: the upper bound by num >= 2 * den, the threshold by
+``constants.below``, which cross-multiplies against a certified bracket,
+finer only if needed.  The alpha = 2 screen builds the all-even pair once;
+each special-prime case is that pair times q(q+1) / (q^2+q+1), and at most
+one of them is ever compared (see ``_screen_alpha2_combined``).
 
 The upper test num >= 2 * den also refutes a product of exactly 2.  In
 alpha = 2 case 1 that product is sigma(n)/n itself when q has exponent 1
@@ -40,12 +43,13 @@ TooFewPrimeFactors.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
-from .abundancy import _check_prime_set, _truncated_pair, sigma
+from .abundancy import _check_prime_set, sigma
 from .constants import below
 from .errors import InvalidArgument
-from .exact_arith import Record, _reduced_product
+from .exact_arith import Record, _geometric_sums, _reduced_product
 from .primes import Factorization
 
 MIN_DISTINCT_PRIMES = 9  # every odd perfect number has at least 9 distinct primes
@@ -130,18 +134,19 @@ def _odd_prime_set(primes) -> tuple[int, ...]:
     return ps
 
 
-def _screen_alpha1(ps) -> ScreenVerdict:
-    num, den = _truncated_pair(ps, 1)
-    if num >= 2 * den:
+def _screen_alpha1(ps, rad: int) -> ScreenVerdict:
+    """prod (1 + 1/p) as (prod (p + 1), rad), against 2 and 16/pi^2."""
+    num = math.prod(_geometric_sums(ps, 1))
+    if num >= 2 * rad:
         condition = Condition.ALPHA1_UPPER_BOUND
-    elif below(num, den, 1):
+    elif below(num, rad, 1):
         condition = Condition.ALPHA1_LOWER_BOUND
     else:
         return _CONSISTENT
-    return ScreenVerdict(Outcome.VIOLATES, condition, Fraction(num, den))
+    return ScreenVerdict(Outcome.VIOLATES, condition, Fraction(num, rad))
 
 
-def _screen_alpha2_combined(ps) -> ScreenVerdict:
+def _screen_alpha2_combined(ps, den: int) -> ScreenVerdict:
     """Refute only if the all-even case and every admissible special prime fail.
 
     Case 1 for q is case 2 times q(q+1)/(q^2+q+1) = 1 - 1/(q^2+q+1), a factor
@@ -153,8 +158,9 @@ def _screen_alpha2_combined(ps) -> ScreenVerdict:
     smallest q has the smallest case: one comparison decides them all.
     With no prime = 1 mod 4 in the set the special-prime case is impossible,
     and case 2 alone decides.  Case witnesses are built only on a refutation.
+    Case 2 is (prod (p(p + 1) + 1), den), where den = rad^2.
     """
-    num, den = _truncated_pair(ps, 2)
+    num = math.prod(_geometric_sums(ps, 2))
     if num >= 2 * den:
         q = next((q for q in ps if q % 4 == 1), None)
         # swap the smallest q's factor (q^2+q+1)/q^2 for (q+1)/q
@@ -172,10 +178,9 @@ def _screen_alpha2_combined(ps) -> ScreenVerdict:
         if q % 4 == 1:
             a = q * (q + 1)
             cases.append((f"case1[q={q}]", _reduced_product(n, d, a, a + 1)))
+    # ps is sorted, distinct and odd, so it holds 3, 5 and 7 only as its head
     condition = (
-        Condition.TRIPLE_EXCLUSION_357
-        if {3, 5, 7} <= set(ps)
-        else Condition.ALPHA2_CASE1
+        Condition.TRIPLE_EXCLUSION_357 if ps[:3] == (3, 5, 7) else Condition.ALPHA2_CASE1
     )
     return ScreenVerdict(Outcome.VIOLATES, condition, case2, tuple(cases))
 
@@ -186,18 +191,20 @@ def radical_screen(primes, mode: Mode = Mode.AUTO) -> ScreenVerdict:
 
 
 def _radical_screen(ps: tuple[int, ...], mode: Mode) -> ScreenVerdict:
-    # ps must already be sorted, distinct, odd and proven prime
-    if mode is Mode.ALPHA1:
-        return _screen_alpha1(ps)
-    if mode is Mode.ALPHA2_CASE1:
-        return _screen_alpha2_combined(ps)
+    # ps must already be a sorted tuple of distinct odd proven primes; the
+    # radical is formed once, and squared for alpha 2
     if mode is Mode.AUTO:
         if len(ps) < MIN_DISTINCT_PRIMES:
             return _TOO_FEW
-        verdict = _screen_alpha1(ps)
+        rad = math.prod(ps)
+        verdict = _screen_alpha1(ps, rad)
         if verdict.violates:
             return verdict
-        return _screen_alpha2_combined(ps)
+        return _screen_alpha2_combined(ps, rad * rad)
+    if mode is Mode.ALPHA1:
+        return _screen_alpha1(ps, math.prod(ps))
+    if mode is Mode.ALPHA2_CASE1:
+        return _screen_alpha2_combined(ps, math.prod(ps) ** 2)
     raise InvalidArgument(f"unknown screening mode: {mode!r}")
 
 

@@ -2,15 +2,15 @@
 
 Each mutant breaks a contract the code states: a proven primality bound, the
 prime stream holding exactly the primes up to its bound, a factorization's
-proof, an outward-rounded enclosure, an exact screening identity, a reduced
-case witness, the Eulerian form, a result record's equality, the exact
-rendering of a certified constant, the printing of an integer past the
-int-to-str digit limit, the command line's parse, or the modules a call
-loads.  For each one the script copies the repository
-(without ``.git`` and caches) into a temporary directory, replaces one
-line, and runs ``pytest -x -q`` there with a fixed hypothesis seed, so
-every run draws the same examples; the mutant is killed when pytest reports
-a failing test (exit 1).
+proof, an outward-rounded enclosure, an exact screening identity, a closed
+form of a truncated product, a reduced case witness, the Eulerian form, a
+result record's equality, the exact rendering of a certified constant, the
+printing of an integer past the int-to-str digit limit, the command line's
+parse, or the modules a call loads.  For each one the script copies the
+repository (without ``.git`` and caches) into a temporary directory,
+replaces one line, and runs ``pytest -x -q`` there with a fixed hypothesis
+seed, so every run draws the same examples; the mutant is killed when
+pytest reports a failing test (exit 1).
 The unmutated copy runs first and must pass, so a suite that is already
 broken cannot kill anything by accident.
 
@@ -98,6 +98,18 @@ MUTANTS = [
         "screener.py",
         "elif not below(num, den, 2):",
         "elif not below(num, den, 1):",
+    ),
+    (
+        "the alpha-2 factor numerator drops its 1: p(p + 1), not p(p + 1) + 1",
+        "exact_arith.py",
+        "return [p * (p + 1) + 1 for p in primes]",
+        "return [p * (p + 1) for p in primes]",
+    ),
+    (
+        "the AUTO screen divides its alpha-2 products by rad, not rad^2",
+        "screener.py",
+        "return _screen_alpha2_combined(ps, rad * rad)",
+        "return _screen_alpha2_combined(ps, rad)",
     ),
     (
         "a special prime's case witness is not reduced by gcd(n, q^2 + q + 1)",

@@ -126,9 +126,14 @@ def test_truncated_product_coerces_integer_like_alpha():
         truncated_product({3, 5, 7}, 2.0)
 
 
+# small primes, primes near 2 * 10^6 and the Mersenne prime 2^61 - 1, so
+# every closed form of the factor numerators meets multi-digit integers
+_PAIR_PRIMES = primes_window(2, 40) + primes_window(148_900, 40) + [2**61 - 1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    primes=st.lists(st.sampled_from(primes_window(2, 40)), max_size=10, unique=True),
+    primes=st.lists(st.sampled_from(_PAIR_PRIMES), max_size=10, unique=True),
     h=st.integers(min_value=1, max_value=6),
     k=st.sampled_from(sorted(_PREFIX)),
 )
