@@ -77,8 +77,8 @@ def _check_prime_set(primes) -> tuple[int, ...]:
     return ps
 
 
-def _truncated_pair(primes, h: int, num: int = 1, den: int = 1) -> tuple[int, int]:
-    """Unreduced (num, den) of num/den * prod over primes of sum_{i=0..h} p^-i.
+def _truncated_pair(primes, h: int) -> tuple[int, int]:
+    """Unreduced (num, den) of prod over primes of sum_{i=0..h} p^-i.
 
     Each factor is (1 + p + ... + p^h) / p^h, its numerator from
     ``exact_arith._geometric_sums`` (p(p + 1) + 1 = (p^3 - 1)/(p - 1) at
@@ -88,13 +88,11 @@ def _truncated_pair(primes, h: int, num: int = 1, den: int = 1) -> tuple[int, in
     radical formed once for both alphas, the windows from ``bound_tables``'
     per-alpha store.
     """
-    return num * math.prod(_geometric_sums(primes, h)), den * math.prod(primes) ** h
+    return math.prod(_geometric_sums(primes, h)), math.prod(primes) ** h
 
 
 def truncated_product(primes, alpha: int) -> Fraction:
     """prod over the given primes of sum_{i=0..alpha} p^-i, exactly."""
-    alpha = as_index(alpha, "alpha")
-    if alpha < 1:
-        raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
+    alpha = as_index(alpha, "alpha", 1)
     return Fraction(*_truncated_pair(_check_prime_set(primes), alpha))
 

@@ -24,8 +24,8 @@ Arguments are checked once, at the public entries.  A probe is the window
 product as an unreduced integer pair (num, den), prefix included: num is
 the prefix numerator times the product of the factor numerators
 sigma_alpha(p) = 1 + p + ... + p^alpha over the window, den the prefix
-denominator times (prod p)^alpha.  These are the integers of
-``abundancy._truncated_pair``, but both products read a per-alpha store
+denominator times (prod p)^alpha.  Past the prefix these are the integers
+of ``abundancy._truncated_pair``, but both products read a per-alpha store
 indexed like the prime stream: the numerators, which
 ``exact_arith._geometric_sums`` computes once per prime as the store grows
 rather than once per probe, and the primes themselves, so a probe is two
@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 
 from .constants import below
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _digits
 from .exact_arith import Record, _geometric_sums, as_index
 from .primes import nth_prime, prime_cap, primes_window
 
@@ -72,13 +72,9 @@ _PREFIX = {1: (1, 1), 2: (4, 3), 3: (8, 5)}
 
 def _checked(k, m, alpha) -> tuple[int, int, int]:
     """The arguments ``rho`` and ``find_I`` share, coerced to int and checked."""
-    k, m, alpha = as_index(k, "k"), as_index(m, "m"), as_index(alpha, "alpha")
+    k = as_index(k, "k")
     rho_limit(k)  # validates k before anything else
-    if m < k:
-        raise InvalidArgument(f"m must be >= k, got m={m}, k={k}")
-    if alpha < 1:
-        raise InvalidArgument(f"alpha must be >= 1, got {alpha}")
-    return k, m, alpha
+    return k, as_index(m, "m", k), as_index(alpha, "alpha", 1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -111,9 +107,9 @@ def _factors(alpha: int, count: int) -> tuple[list[int], list[int]]:
 def _window(k: int, m: int, r: int, alpha: int) -> tuple[int, int]:
     """Unreduced (num, den) of the window product; arguments already checked.
 
-    The same integers as ``abundancy._truncated_pair`` over the window with
-    the prefix as its start, read from the store: no sieve call, and so no
-    sieve lock, unless the store must grow.
+    The prefix times the integers of ``abundancy._truncated_pair`` over the
+    window, read from the store: no sieve call, and so no sieve lock, unless
+    the store must grow.
     """
     end = r + m - k
     if end > prime_cap():
@@ -127,9 +123,7 @@ def rho(k: int, m: int, r: int, alpha: int = 1) -> Fraction:
     """Exact window product for the k-th factor bound with m distinct
     primes, the window starting at the r-th prime, alpha+1 terms per factor."""
     k, m, alpha = _checked(k, m, alpha)
-    r = as_index(r, "r")
-    if r < 1:
-        raise InvalidArgument(f"r must be >= 1, got {r}")
+    r = as_index(r, "r", 1)
     return Fraction(*_window(k, m, r, alpha))
 
 
@@ -144,7 +138,7 @@ def rho_limit(k: int) -> Fraction:
     if k in (1, 2, 3):
         return Fraction(*_PREFIX[k])
     raise InvalidArgument(
-        f"k must be 1, 2, or 3: the k={k} prefix product is not below the threshold"
+        f"k must be 1, 2, or 3: the k={_digits(k)} prefix product is not below the threshold"
     )
 
 
@@ -194,23 +188,16 @@ def find_I(k: int, m: int, alpha: int = 1) -> int:
 
 def perisastri_bound(m: int) -> int:
     """Classical comparison bound floor(2m/3 + 3) on the lowest prime factor."""
-    m = as_index(m, "m")
-    if m < 1:
-        raise InvalidArgument(f"m must be >= 1, got {m}")
+    m = as_index(m, "m", 1)
     return 2 * m // 3 + 3
 
 
 def generate_table(m_min: int, m_max: int, alpha: int = 1) -> list[BoundTableRow]:
     """One row per m in [m_min, m_max]: the three prime bounds plus the
     classical comparison column.  Deterministic."""
-    m_min, m_max = as_index(m_min, "m_min"), as_index(m_max, "m_max")
-    alpha = as_index(alpha, "alpha")
-    if m_min < TABLE_MIN_M:
-        raise InvalidArgument(f"m_min must be >= {TABLE_MIN_M}, got {m_min}")
-    if m_max < m_min:
-        raise InvalidArgument(f"empty range: m_min={m_min} > m_max={m_max}")
-    if alpha < 1:
-        raise InvalidArgument(f"alpha must be >= 1, got {alpha}")
+    m_min = as_index(m_min, "m_min", TABLE_MIN_M)
+    m_max = as_index(m_max, "m_max", m_min)
+    alpha = as_index(alpha, "alpha", 1)
     rows = []
     # I(k, m) >= I(k, m-1), and window I(k, m-1) - 1 is not below at m-1,
     # hence not below at m: start each search just past it

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import InvalidArgument, PrecisionCapExceeded
+from .errors import InvalidArgument, PrecisionCapExceeded, _ratio
 from .exact_arith import RatInterval, as_index, as_rational
 
 SERIES_TERM_CAP = 10**6
@@ -52,7 +52,7 @@ def _target_bits(width) -> int:
     """Least k >= 0 with 2^-k <= the target width, a rational > 0."""
     w = as_rational(width)
     if w <= 0:
-        raise InvalidArgument(f"target width must be > 0, got {w}")
+        raise InvalidArgument(f"target width must be > 0, got {_ratio(w)}")
     return (-(-w.denominator // w.numerator) - 1).bit_length()
 
 
@@ -111,9 +111,7 @@ def _zeta_scaled(s: int, p: int) -> tuple[int, int]:
 
 def zeta_enclosure(s: int, width) -> RatInterval:
     """Certified dyadic bracket of zeta(s) for integer s >= 2, width <= the target."""
-    s = as_index(s, "s")
-    if s < 2:
-        raise InvalidArgument(f"zeta enclosure needs integer s >= 2, got {s!r}")
+    s = as_index(s, "s", 2)
     j = _target_bits(width) + 1
     return _dyadic(*_centred(functools.partial(_zeta_scaled, s), j), j + 4)
 
@@ -189,9 +187,7 @@ def _threshold_ends(alpha: int, width) -> tuple[int, int, int]:
     inside (1, 2), however coarse the request or close to 2 the constant
     (about 2 - 2 * 3^-(alpha+1)); so 2^bits < lo < hi < 2^(bits+1).
     """
-    alpha = as_index(alpha, "alpha")
-    if alpha < 1:
-        raise InvalidArgument(f"alpha must be an integer >= 1, got {alpha!r}")
+    alpha = as_index(alpha, "alpha", 1)
     j = _target_bits(width) + 1
     while True:
         lo, hi = _bracket(alpha, j)

@@ -49,3 +49,11 @@ def _digits(n: int) -> str:
     if skip + len(head) <= _QUOTED_CHARS:
         return head
     return f"{head[:_QUOTED_CHARS]}... ({skip + len(head)} digits)"
+
+
+def _ratio(q) -> str:
+    """str(q) of a Fraction, its numerator and denominator quoted by
+    _digits; the denominator only when it is not 1."""
+    if q.denominator == 1:
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"

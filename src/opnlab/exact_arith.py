@@ -29,7 +29,7 @@ from math import gcd
 from numbers import Rational as _RationalABC
 from operator import index
 
-from .errors import InvalidArgument, _quoted
+from .errors import InvalidArgument, _digits, _quoted, _ratio
 
 # Parsing '1e-2000000' takes about 0.4 s, and the time grows with the
 # exponent.  No alpha serves a width below about 10^-1204000 within the
@@ -75,13 +75,22 @@ def as_rational(value) -> Fraction:
     raise InvalidArgument(f"not a rational: {value!r}")
 
 
-def as_index(value, name: str) -> int:
-    """``operator.index(value)``: ints pass, floats and strings raise
-    InvalidArgument naming the argument."""
+def as_index(value, name: str, least: int | None = None) -> int:
+    """``operator.index(value)`` when that is at least ``least``: the
+    package's one integer range check.  A float, a string or a smaller int
+    raises InvalidArgument "{name} must be an integer >= {least}, got
+    {value}" (no bound when least is None), integers quoted by _digits."""
     try:
-        return index(value)
+        n = index(value)
     except TypeError:
-        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+        n = None
+    else:
+        if least is None or n >= least:
+            return n
+    # formatted only on failure: sweep calls this once per factorization
+    shown = _quoted(value) if n is None else _digits(n)
+    bound = "" if least is None else f" >= {_digits(least)}"
+    raise InvalidArgument(f"{name} must be an integer{bound}, got {shown}")
 
 
 def _reduced_product(n: int, d: int, a: int, b: int) -> Fraction:
@@ -175,7 +184,7 @@ class RatInterval(Record):
     def __init__(self, lo, hi):
         lo, hi = as_rational(lo), as_rational(hi)
         if lo > hi:
-            raise InvalidArgument(f"interval endpoints out of order: {lo} > {hi}")
+            raise InvalidArgument(f"interval endpoints out of order: {_ratio(lo)} > {_ratio(hi)}")
         Record.__init__(self, lo, hi)
 
     def width(self) -> Fraction:

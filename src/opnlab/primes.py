@@ -16,8 +16,8 @@ set: one superset test and one gcd, then the ladder for its members from
 4,198,401 on.  ``factorize``'s record is its own proof, checked no further;
 only a caller's ``Factorization`` is validated.  No probabilistic answers
 are ever returned.  Every public entry point takes integers only
-(``operator.index``); anything else raises InvalidArgument naming the
-argument.
+(``exact_arith.as_index``); anything else, or an integer below its bound,
+raises InvalidArgument naming the argument.
 """
 
 from __future__ import annotations
@@ -82,10 +82,7 @@ class _Sieve:
     up to ``limit``, and ``ensure_count`` is the one way to grow it."""
 
     def __init__(self, cap: int = DEFAULT_PRIME_CAP):
-        cap = as_index(cap, "prime cap")
-        if cap < 1:
-            raise InvalidArgument(f"prime cap must be >= 1, got {cap}")
-        self.cap = cap
+        self.cap = as_index(cap, "prime cap", 1)
         self._lock = threading.Lock()
         self.limit = _START_LIMIT
         self.primes = sorted(_START_PRIMES)
@@ -93,7 +90,9 @@ class _Sieve:
     def ensure_count(self, k: int) -> None:
         """Grow until at least k primes are sieved; k must respect the cap."""
         if k > self.cap:
-            raise ResourceLimit(f"requested prime #{k} exceeds the sieve cap of {self.cap}")
+            raise ResourceLimit(
+                f"requested prime #{_digits(k)} exceeds the sieve cap of {_digits(self.cap)}"
+            )
         with self._lock:
             while len(self.primes) < k:
                 kk = max(k, 6)
@@ -160,7 +159,7 @@ def _ladder(n: int) -> bool:
     if n < _MR_BOUND:
         return True
     raise ResourceLimit(
-        f"{n} passes all 13 strong bases but is not below psi_13 = {_MR_BOUND}, "
+        f"{_digits(n)} passes all 13 strong bases but is not below psi_13 = {_MR_BOUND}, "
         "so its primality cannot be proven"
     )
 
@@ -212,11 +211,7 @@ def nth_prime(k: int) -> int:
 
 def primes_window(start: int, count: int) -> list[int]:
     """Consecutive primes p_start .. p_{start+count-1}; empty when count = 0."""
-    start, count = as_index(start, "prime index"), as_index(count, "window count")
-    if start < 1:
-        raise InvalidArgument(f"prime index must be >= 1, got {start}")
-    if count < 0:
-        raise InvalidArgument(f"window count must be >= 0, got {count}")
+    start, count = as_index(start, "prime index", 1), as_index(count, "window count", 0)
     if count == 0:
         return []
     sieve = _default_sieve
@@ -293,9 +288,7 @@ def factorize(n: int) -> Factorization:
     cap); the primes ascend and each exponent is >= 1 by construction.  A
     composite residual needing primes beyond the cap raises ResourceLimit.
     """
-    n = as_index(n, "n")
-    if n < 1:
-        raise InvalidArgument(f"factorize requires n >= 1, got {n}")
+    n = as_index(n, "n", 1)
     sieve = _default_sieve
     pairs: list[tuple[int, int]] = []
     residual = n

@@ -4,9 +4,9 @@ Each mutant breaks a contract the code states: a proven primality bound, the
 prime stream holding exactly the primes up to its bound, a factorization's
 proof, an outward-rounded enclosure, an exact screening identity, a closed
 form of a truncated product, a reduced case witness, the Eulerian form, a
-result record's equality, the exact rendering of a certified constant, the
-printing of an integer past the int-to-str digit limit, the command line's
-parse, or the modules a call loads.  For each one the script copies the
+result record's equality, an argument's lower bound, the exact rendering of
+a certified constant, the printing of an integer past the int-to-str digit
+limit, the command line's parse, or the modules a call loads.  For each one the script copies the
 repository (without ``.git`` and caches) into a temporary directory,
 replaces one line, and runs ``pytest -x -q`` there with a fixed hypothesis
 seed, so every run draws the same examples; the mutant is killed when
@@ -134,6 +134,12 @@ MUTANTS = [
         "exact_arith.py",
         "return self._values() == other._values()",
         "return self._values()[:-1] == other._values()[:-1]",
+    ),
+    (
+        "the argument check lets through an integer one below its bound",
+        "exact_arith.py",
+        "if least is None or n >= least:",
+        "if least is None or n >= least - 1:",
     ),
     (
         "constants prints its dyadic ends unreduced",

@@ -122,8 +122,17 @@ class _Index:
 
 def test_truncated_product_coerces_integer_like_alpha():
     assert truncated_product({3, 5, 7}, _Index(2)) == Fraction(22971, 11025)
-    with pytest.raises(InvalidArgument, match="^alpha must be an integer"):
-        truncated_product({3, 5, 7}, 2.0)
+    # a huge alpha is quoted by its head and digit count: one short line
+    huge_text = "-1" + "0" * 99 + "... (5001 digits)"
+    for alpha, message in [
+        (-(10**5000), f"alpha must be an integer >= 1, got {huge_text}"),
+        (_Index(-(10**5000)), f"alpha must be an integer >= 1, got {huge_text}"),
+        (0, "alpha must be an integer >= 1, got 0"),
+        (2.0, "alpha must be an integer >= 1, got 2.0"),
+    ]:
+        with pytest.raises(InvalidArgument) as info:
+            truncated_product({3, 5, 7}, alpha)
+        assert str(info.value) == message and len(message) < 250
 
 
 # small primes, primes near 2 * 10^6 and the Mersenne prime 2^61 - 1, so
@@ -141,7 +150,8 @@ def test_truncated_pair_equals_the_term_by_term_sum(primes, h, k):
     expected = Fraction(*_PREFIX[k])
     for p in primes:
         expected *= sum(Fraction(1, p**i) for i in range(h + 1))
-    num, den = _truncated_pair(primes, h, *_PREFIX[k])
+    num, den = _truncated_pair(primes, h)
+    num, den = _PREFIX[k][0] * num, _PREFIX[k][1] * den
     assert den > 0 and Fraction(num, den) == expected
 
 

@@ -64,21 +64,116 @@ def test_rho_validation():
         rho(k=1, m=9, r=2, alpha=0)
 
 
+_HUGE = 10**5000  # 5001 digits, past Python's default int-to-str limit
+_HUGE_TEXT = "1" + "0" * 99 + "... (5001 digits)"
+_PAST_CAP = f"requested prime #{_HUGE_TEXT} exceeds the sieve cap of {DEFAULT_PRIME_CAP}"
+
+
+# no huge m_max that passes its check: the table would build every row
 @pytest.mark.parametrize(
-    "call, name",
+    "call, error, message",
     [
-        (lambda: find_I(1, 9.5), "m"),
-        (lambda: rho(1, 9.5, 2), "m"),
-        (lambda: rho(1.0, 9, 2), "k"),
-        (lambda: generate_table(9, 10.5), "m_max"),
-        (lambda: perisastri_bound(9.0), "m"),
-        (lambda: rho_limit(2.0), "k"),
+        (lambda: find_I(1, 9.5), InvalidArgument, "m must be an integer"),
+        (lambda: rho(1, 9.5, 2), InvalidArgument, "m must be an integer"),
+        (lambda: rho(1.0, 9, 2), InvalidArgument, "k must be an integer"),
+        (lambda: generate_table(9, 10.5), InvalidArgument, "m_max must be an integer"),
+        (lambda: perisastri_bound(9.0), InvalidArgument, "m must be an integer"),
+        (lambda: rho_limit(2.0), InvalidArgument, "k must be an integer"),
+        (
+            lambda: rho(-_HUGE, 9, 2),
+            InvalidArgument,
+            f"k must be 1, 2, or 3: the k=-{_HUGE_TEXT} prefix product is not below",
+        ),
+        (
+            lambda: rho(2, -_HUGE, 2),
+            InvalidArgument,
+            f"m must be an integer >= 2, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: rho(1, 9, -_HUGE),
+            InvalidArgument,
+            f"r must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: rho(1, 9, 2, -_HUGE),
+            InvalidArgument,
+            f"alpha must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (lambda: rho(1, _HUGE, 2), ResourceLimit, _PAST_CAP),
+        (lambda: rho(1, 9, _HUGE), ResourceLimit, _PAST_CAP),
+        (
+            lambda: find_I(3, -_HUGE),
+            InvalidArgument,
+            f"m must be an integer >= 3, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: find_I(1, 9, -_HUGE),
+            InvalidArgument,
+            f"alpha must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (lambda: find_I(1, _HUGE), ResourceLimit, _PAST_CAP),
+        (
+            lambda: perisastri_bound(-_HUGE),
+            InvalidArgument,
+            f"m must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: generate_table(-_HUGE, 10),
+            InvalidArgument,
+            f"m_min must be an integer >= 9, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: generate_table(_HUGE, 10),
+            InvalidArgument,
+            f"m_max must be an integer >= {_HUGE_TEXT}, got 10",
+        ),
+        (
+            lambda: generate_table(9, -_HUGE),
+            InvalidArgument,
+            f"m_max must be an integer >= 9, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: generate_table(9, 10, -_HUGE),
+            InvalidArgument,
+            f"alpha must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: rho_limit(_HUGE),
+            InvalidArgument,
+            f"k must be 1, 2, or 3: the k={_HUGE_TEXT} prefix product is not below",
+        ),
     ],
-    ids=["find_I", "rho", "rho_params_k", "generate_table", "perisastri_bound", "rho_limit"],
+    ids=[
+        "find_I",
+        "rho",
+        "rho_params_k",
+        "generate_table",
+        "perisastri_bound",
+        "rho_limit",
+        "rho_k_negative",
+        "rho_m_negative",
+        "rho_r_negative",
+        "rho_alpha_negative",
+        "rho_m_past_cap",
+        "rho_r_past_cap",
+        "find_I_m_negative",
+        "find_I_alpha_negative",
+        "find_I_m_past_cap",
+        "perisastri_bound_negative",
+        "generate_table_m_min_negative",
+        "generate_table_m_min_huge",
+        "generate_table_m_max_negative",
+        "generate_table_alpha_negative",
+        "rho_limit_huge",
+    ],
 )
-def test_float_indices_are_rejected_by_name(call, name):
-    with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+def test_float_indices_are_rejected_by_name(call, error, message):
+    # a huge integer is quoted by its head and digit count: one short line
+    with pytest.raises(error) as info:
         call()
+    text = str(info.value)
+    assert text.startswith(message)
+    assert "\n" not in text and len(text) < 250
 
 
 class _Index:
@@ -128,7 +223,8 @@ def test_window_is_the_kernel_pair(km, r, alpha, cold):
     if cold:
         _store.cache_clear()
     pair = _window(k, m, r, alpha)
-    assert pair == _truncated_pair(primes_window(r, m - k + 1), alpha, *_PREFIX[k])
+    num, den = _truncated_pair(primes_window(r, m - k + 1), alpha)
+    assert pair == (_PREFIX[k][0] * num, _PREFIX[k][1] * den)
     assert Fraction(*pair) == rho_oracle(k, m, r, alpha)
 
 

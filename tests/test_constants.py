@@ -88,10 +88,24 @@ def test_enclosures_coerce_integer_like_arguments():
     w = Fraction(1, 10**6)
     assert threshold_enclosure(_Index(2), w) == threshold_enclosure(2, w)
     assert zeta_enclosure(_Index(3), w) == zeta_enclosure(3, w)
-    with pytest.raises(InvalidArgument, match="^alpha must be an integer"):
-        threshold_enclosure(2.0, w)
-    with pytest.raises(InvalidArgument, match="^s must be an integer"):
-        zeta_enclosure(3.0, w)
+    # a huge integer is quoted by its head and digit count: one short line
+    big, huge = 10**5000, "1" + "0" * 99 + "... (5001 digits)"
+    for call, message in [
+        (lambda: threshold_enclosure(-big, w), f"alpha must be an integer >= 1, got -{huge}"),
+        (lambda: zeta_enclosure(-big, w), f"s must be an integer >= 2, got -{huge}"),
+        (lambda: threshold_enclosure(1, -big), f"target width must be > 0, got -{huge}"),
+        (lambda: pi_enclosure(Fraction(-big, 3)), f"target width must be > 0, got -{huge}/3"),
+        (lambda: RatInterval(big, 0), f"interval endpoints out of order: {huge} > 0"),
+        (
+            lambda: RatInterval(Fraction(1, 3), Fraction(1, 4)),
+            "interval endpoints out of order: 1/3 > 1/4",
+        ),
+        (lambda: threshold_enclosure(2.0, w), "alpha must be an integer >= 1, got 2.0"),
+        (lambda: zeta_enclosure(3.0, w), "s must be an integer >= 2, got 3.0"),
+    ]:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == message and len(message) < 250
 
 
 def test_zeta_thresholds_reach_default_width_quickly():

@@ -62,16 +62,76 @@ def test_nth_prime_rejects_bad_index():
         nth_prime(0)
 
 
+_HUGE = 10**5000  # 5001 digits, past Python's default int-to-str limit
+_HUGE_TEXT = "1" + "0" * 99 + "... (5001 digits)"
+_MERSENNE_2203 = 2**2203 - 1  # a prime of 664 digits, past psi_13
+
+
+def _at_digit_limit(limit, call):
+    """call() with the interpreter's int-to-str digit limit at ``limit``."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return call()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @pytest.mark.parametrize(
-    "call, name",
+    "call, error, message",
     [
-        (lambda: nth_prime(2.5), "prime index"),
-        (lambda: primes_window(2.0, 3), "prime index"),
-        (lambda: primes_window(2, 3.5), "window count"),
-        (lambda: is_prime(1000003.0), "n"),
-        (lambda: is_prime(7.0), "n"),
-        (lambda: factorize(945.0), "n"),
-        (lambda: _Sieve(10.5), "prime cap"),
+        (lambda: nth_prime(2.5), InvalidArgument, "prime index must be an integer"),
+        (lambda: primes_window(2.0, 3), InvalidArgument, "prime index must be an integer"),
+        (lambda: primes_window(2, 3.5), InvalidArgument, "window count must be an integer"),
+        (lambda: is_prime(1000003.0), InvalidArgument, "n must be an integer"),
+        (lambda: is_prime(7.0), InvalidArgument, "n must be an integer"),
+        (lambda: factorize(945.0), InvalidArgument, "n must be an integer"),
+        (lambda: _Sieve(10.5), InvalidArgument, "prime cap must be an integer"),
+        (
+            lambda: nth_prime(-_HUGE),
+            InvalidArgument,
+            f"prime index must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: primes_window(-_HUGE, 1),
+            InvalidArgument,
+            f"prime index must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: primes_window(1, -_HUGE),
+            InvalidArgument,
+            f"window count must be an integer >= 0, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: factorize(-_HUGE),
+            InvalidArgument,
+            f"n must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: set_prime_cap(-_HUGE),
+            InvalidArgument,
+            f"prime cap must be an integer >= 1, got -{_HUGE_TEXT}",
+        ),
+        (
+            lambda: nth_prime(_HUGE),
+            ResourceLimit,
+            f"requested prime #{_HUGE_TEXT} exceeds the sieve cap of {DEFAULT_PRIME_CAP}",
+        ),
+        (
+            lambda: primes_window(_HUGE, 1),
+            ResourceLimit,
+            f"requested prime #{_HUGE_TEXT} exceeds the sieve cap of {DEFAULT_PRIME_CAP}",
+        ),
+        (
+            lambda: primes_window(1, _HUGE),
+            ResourceLimit,
+            f"requested prime #{_HUGE_TEXT} exceeds the sieve cap of {DEFAULT_PRIME_CAP}",
+        ),
+        (
+            lambda: _at_digit_limit(640, lambda: is_prime(_MERSENNE_2203)),
+            ResourceLimit,
+            f"{str(_MERSENNE_2203)[:100]}... (664 digits) passes all 13 strong bases",
+        ),
     ],
     ids=[
         "nth_prime",
@@ -81,11 +141,24 @@ def test_nth_prime_rejects_bad_index():
         "is_prime_7",
         "factorize",
         "sieve_cap",
+        "nth_prime_negative",
+        "window_start_negative",
+        "window_count_negative",
+        "factorize_negative",
+        "sieve_cap_negative",
+        "nth_prime_past_cap",
+        "window_start_past_cap",
+        "window_count_past_cap",
+        "is_prime_past_psi_13_and_the_digit_limit",
     ],
 )
-def test_float_indices_are_rejected_by_name(call, name):
-    with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+def test_float_indices_are_rejected_by_name(call, error, message):
+    # a huge integer is quoted by its head and digit count: one short line
+    with pytest.raises(error) as info:
         call()
+    text = str(info.value)
+    assert text.startswith(message)
+    assert "\n" not in text and len(text) < 250
 
 
 def test_primes_window_examples():
