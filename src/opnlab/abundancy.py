@@ -65,9 +65,14 @@ def abundancy_report(f: Factorization) -> AbundancyReport:
 
 def _check_prime_set(primes) -> tuple[int, ...]:
     try:
-        ps = tuple(sorted(map(index, primes)))
-    except TypeError as exc:
-        raise InvalidArgument(f"primes must be integers: {exc}") from exc
+        members = tuple(primes)
+    except TypeError:
+        raise InvalidArgument("primes must be an iterable of integers") from None
+    try:
+        ps = tuple(sorted(map(index, members)))
+    except TypeError:
+        # the slow pass names the first member that is not an integer
+        ps = tuple(sorted(as_index(p, "prime") for p in members))
     if len(set(ps)) != len(ps):
         duplicate = next(a for a, b in zip(ps, ps[1:]) if a == b)
         raise InvalidArgument(f"duplicate prime {_digits(duplicate)}")

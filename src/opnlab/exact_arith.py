@@ -12,8 +12,11 @@ against a constant are made by ``constants.below``, which keeps its
 brackets as integers on a dyadic grid and refines them until it can answer
 True or False; a ``RatInterval`` is built only at the public entries of
 ``constants``, so no table probe or radical case reads one.
-``_reduced_product`` multiplies two reduced fractions given as integer
-pairs with two small gcds, as the radical screen's case witnesses need.
+``_fraction`` builds a Fraction from an integer pair with one gcd, and is
+the one place the package writes a Fraction's slots: every screening
+witness comes from it.  ``_reduced_product`` multiplies two reduced
+fractions given as integer pairs with two small gcds, as the radical
+screen's case witnesses need, and builds its result through ``_fraction``.
 ``_geometric_sum`` and ``_geometric_sums`` are the one place the package
 writes the numerators 1 + p + ... + p^h of sum_{i=0..h} p^-i: the divisor
 sums take theirs one prime at a time, the radical screen's products and
@@ -93,6 +96,23 @@ def as_index(value, name: str, least: int | None = None) -> int:
     raise InvalidArgument(f"{name} must be an integer{bound}, got {shown}")
 
 
+def _fraction(num: int, den: int, g: int | None = None) -> Fraction:
+    """num/den as a Fraction, for an integer num and an integer den >= 1:
+    both are divided by g, their gcd (taken here unless the caller passes
+    it), and written straight into ``Fraction``'s two slots, which gives the
+    parts, hash and pickle of ``Fraction(num, den)`` without its
+    constructor's type and sign checks.
+    This is the one place the package writes a Fraction's slots, which hold
+    its numerator and denominator from Python 3.10 to 3.13 at least.
+    """
+    if g is None:
+        g = gcd(num, den)
+    q = object.__new__(Fraction)
+    q._numerator = num // g
+    q._denominator = den // g
+    return q
+
+
 def _reduced_product(n: int, d: int, a: int, b: int) -> Fraction:
     """(n/d) * (a/b) as a Fraction, for n/d and a/b in lowest terms with
     d, b > 0: Knuth's reduced product (TAOCP vol. 2, 4.5.1), the rule
@@ -104,15 +124,11 @@ def _reduced_product(n: int, d: int, a: int, b: int) -> Fraction:
     coprime to b/g1 since gcd(a, b) = 1 and to d/g2 by the choice of g2.
     The denominator is positive, as d, b, g1 and g2 are.  So no third gcd
     is taken; when n/d is large and a/b small, both gcds are large-by-small.
-    This is the one place the package writes a Fraction's slots, which
-    hold its numerator and denominator from Python 3.10 to 3.13 at least.
+    ``_fraction`` divides the pair (n/g1)a, d(b/g1) by g2, their gcd, since
+    n/g1 is coprime to d(b/g1) and a to b/g1.
     """
     g1 = gcd(n, b)
-    g2 = gcd(a, d)
-    product = object.__new__(Fraction)
-    product._numerator = (n // g1) * (a // g2)
-    product._denominator = (d // g2) * (b // g1)
-    return product
+    return _fraction((n // g1) * a, d * (b // g1), gcd(a, d))
 
 
 def _geometric_sum(p: int, h: int) -> int:
@@ -141,16 +157,18 @@ def _geometric_sums(primes, h: int) -> list[int]:
 class Record:
     """An immutable record.  Its fields are its ``__slots__`` in order, but
     for slots named with a leading underscore, which hold cached values; a
-    subclass's ``__init__`` passes every slot's value to ``Record.__init__``."""
+    subclass's ``__init__`` passes every slot's value to ``Record.__init__``,
+    which stores each through its slot's own ``__set__``, cached per class."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -5,19 +5,21 @@ A single growable segmented sieve backs the indexed prime stream
 grows one way, by ``ensure_count``, and its ``primes`` are exactly the primes
 up to its ``limit``.  ``is_prime`` depends on n alone and never reads the
 sieve; it proves its answer in three tiers.  Up to 2048 it looks n up among
-the 309 primes up to 2048.  Above it, one gcd with their product finds any
-factor up to 2048; below (2048 + 1)**2 = 4,198,401, past 2**22, no such
-factor proves n prime.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin
-runs with a witness ladder: n below psi_k, the least strong pseudoprime to
-the first k prime bases, is decided by those k bases alone.  Past psi_13 a
+the 309 primes up to 2048.  Above it, one gcd with the product of the start
+primes up to isqrt(n) finds any prime factor of n among them; below (2048 +
+1)**2 = 4,198,401, past 2**22, a composite has a prime factor up to isqrt(n)
+<= 2048, so a gcd of 1 proves n prime.  From that bound on the gcd takes all
+309 start primes.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs
+with a witness ladder: n below psi_k, the least strong pseudoprime to the
+first k prime bases, is decided by those k bases alone.  Past psi_13 a
 failed 13-base strong test proves n composite, and a pass raises
 ResourceLimit.  A set of primes is proven by the same tiers on the whole
-set: one superset test and one gcd, then the ladder for its members from
-4,198,401 on.  ``factorize``'s record is its own proof, checked no further;
-only a caller's ``Factorization`` is validated.  No probabilistic answers
-are ever returned.  Every public entry point takes integers only
-(``exact_arith.as_index``); anything else, or an integer below its bound,
-raises InvalidArgument naming the argument.
+set: one superset test and one gcd sized to its largest member, then the
+ladder for its members from 4,198,401 on.  ``factorize``'s record is its
+own proof, checked no further; only a caller's ``Factorization`` is
+validated.  No probabilistic answers are ever returned.  Every public entry
+point takes integers only (``exact_arith.as_index``); anything else, or an
+integer below its bound, raises InvalidArgument naming the argument.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from itertools import compress, filterfalse
-from operator import index
+from itertools import accumulate, compress, filterfalse
+from operator import mul
 
 from .errors import InvalidArgument, ResourceLimit, _digits
 from .exact_arith import Record, as_index
@@ -67,13 +69,17 @@ def _simple_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-# Every sieve starts with the primes up to _START_LIMIT, and one gcd with
-# their product trial-divides by all 309 of them.  A composite below
-# (_START_LIMIT + 1)**2 has a prime factor <= _START_LIMIT, so below that
-# bound a gcd of 1 proves n prime.
+# Every sieve starts with the primes up to _START_LIMIT, and one gcd with a
+# product of them trial-divides by each prime in it.  A composite n has a
+# prime factor <= isqrt(n); below (_START_LIMIT + 1)**2 that factor is a start
+# prime, so a gcd of 1 with the product of the start primes up to isqrt(n)
+# proves n prime.  _START_PRODUCTS[i] is the product of the first i start
+# primes, and i = bisect_right(_START_SQUARES, n) counts those with p*p <= n,
+# so n = p*p still meets p; from _GCD_BOUND on, i is 309, the whole product.
 _START_LIMIT = 2048
 _START_PRIMES = frozenset(_simple_sieve(_START_LIMIT))
-_START_PRIMORIAL = math.prod(_START_PRIMES)
+_START_SQUARES = [p * p for p in sorted(_START_PRIMES)]
+_START_PRODUCTS = list(accumulate(sorted(_START_PRIMES), mul, initial=1))
 _GCD_BOUND = (_START_LIMIT + 1) ** 2
 
 
@@ -167,8 +173,10 @@ def _ladder(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test of n alone; never probabilistic.
 
-    Three tiers: membership among the primes up to 2048; one gcd with their
-    product, which decides n below (2048 + 1)**2 = 4,198,401; then
+    Three tiers: membership among the primes up to 2048; one gcd with the
+    product of the start primes up to isqrt(n), which decides n below
+    (2048 + 1)**2 = 4,198,401, because a composite there has a prime factor
+    <= isqrt(n) <= 2048 (from that bound on the gcd takes all 309); then
     Miller-Rabin with the bases the witness ladder gives n's size (3 below
     25,326,001, all 13 from psi_12 to psi_13 = 3.3e24).  Past psi_13 a failed
     13-base strong test proves n composite; a pass raises ResourceLimit.
@@ -177,7 +185,7 @@ def is_prime(n: int) -> bool:
         n = as_index(n, "n")
     if n <= _START_LIMIT:
         return n in _START_PRIMES
-    if math.gcd(n, _START_PRIMORIAL) != 1:
+    if math.gcd(n, _START_PRODUCTS[bisect_right(_START_SQUARES, n)]) != 1:
         return False
     return n < _GCD_BOUND or _ladder(n)
 
@@ -186,20 +194,19 @@ def _first_nonprime(ps: tuple[int, ...]) -> int | None:
     """The smallest member of the ascending ints ps that is not prime, or None.
 
     is_prime's tiers, each on the whole set at once: one superset test of
-    the members up to 2048, one gcd of the product of the rest, then the
-    ladder from (2048 + 1)**2 on.  Once the first two pass, every member
-    below (2048 + 1)**2 is prime, so the ladder's first failure, in
-    ascending order, is the answer.  When one of the first two fails, the
+    the members up to 2048, one gcd of the product of the rest with the
+    start primes up to the isqrt of the largest member (at least each
+    member's own isqrt), then the ladder from (2048 + 1)**2 on.  Once the
+    first two pass, every member below (2048 + 1)**2 is prime, so the
+    ladder's first failure, in ascending order, is the answer.  When one of the first two fails, the
     members are tested one by one in order, and the ladder has run on none
     of them.  Either way the member named and any ResourceLimit raised are
     those of is_prime on each member in turn, and no member runs the ladder
     twice.
     """
     small = bisect_right(ps, _START_LIMIT)
-    if (
-        _START_PRIMES.issuperset(ps[:small])
-        and math.gcd(math.prod(ps[small:]), _START_PRIMORIAL) == 1
-    ):
+    sized = _START_PRODUCTS[bisect_right(_START_SQUARES, ps[-1]) if ps else 0]
+    if _START_PRIMES.issuperset(ps[:small]) and math.gcd(math.prod(ps[small:]), sized) == 1:
         return next(filterfalse(_ladder, ps[bisect_left(ps, _GCD_BOUND, small) :]), None)
     return next((p for p in ps if not is_prime(p)), None)
 
@@ -229,11 +236,13 @@ class Factorization(Record):
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
         try:
-            factors = tuple((index(p), index(e)) for p, e in factors)
-        except TypeError as exc:
-            raise InvalidArgument(f"primes and exponents must be integers: {exc}") from exc
+            pairs = [(p, e) for p, e in factors]
+        except (TypeError, ValueError):
+            raise InvalidArgument("factors must be (prime, exponent) pairs") from None
+        checked = []
         prev = 1
-        for p, e in factors:
+        for p, e in pairs:
+            p = as_index(p, "prime")
             if p <= prev:
                 if p < 2:
                     raise InvalidArgument(f"{_digits(p)} is not prime")
@@ -242,12 +251,12 @@ class Factorization(Record):
                 raise InvalidArgument(
                     f"primes must be strictly increasing, got {_digits(p)} after {_digits(prev)}"
                 )
-            if e < 1:
-                raise InvalidArgument(f"exponent for {_digits(p)} must be >= 1, got {_digits(e)}")
+            e = as_index(e, f"exponent for {_digits(p)}", 1)
             if not is_prime(p):
                 raise InvalidArgument(f"{_digits(p)} is not prime")
+            checked.append((p, e))
             prev = p
-        Record.__init__(self, factors, None)
+        Record.__init__(self, tuple(checked), None)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Factorization":

@@ -30,7 +30,8 @@ and every other exponent is exactly 2, so refuting it rests on Steuerwald's
 theorem (1937): no odd perfect number has the form q * prod p_i^2.
 
 A ``Fraction`` is built only for a witness, so a consistent verdict takes
-no gcd.  All witnesses are exact rationals.  An alpha = 2 refutation
+no gcd.  All witnesses are exact rationals, reduced from their integer
+pair by one gcd in ``exact_arith._fraction``.  An alpha = 2 refutation
 reduces case 2 once, to n/d; each special prime's witness is then the
 reduced product of n/d and q(q+1)/(q^2+q+1), which two small gcds,
 gcd(n, q^2+q+1) and gcd(q(q+1), d), bring to lowest terms
@@ -48,8 +49,8 @@ from fractions import Fraction
 
 from .abundancy import _check_prime_set, sigma
 from .constants import below
-from .errors import InvalidArgument
-from .exact_arith import Record, _geometric_sums, _reduced_product
+from .errors import InvalidArgument, _digits, _quoted
+from .exact_arith import Record, _fraction, _geometric_sums, _reduced_product
 from .primes import Factorization
 
 MIN_DISTINCT_PRIMES = 9  # every odd perfect number has at least 9 distinct primes
@@ -124,7 +125,7 @@ def perfect_check(f: Factorization) -> ScreenVerdict:
     n = f.n
     if s == 2 * n:
         return _CONSISTENT
-    return ScreenVerdict(Outcome.VIOLATES, Condition.NOT_PERFECT, Fraction(s, n))
+    return ScreenVerdict(Outcome.VIOLATES, Condition.NOT_PERFECT, _fraction(s, n))
 
 
 def _odd_prime_set(primes) -> tuple[int, ...]:
@@ -143,7 +144,7 @@ def _screen_alpha1(ps, rad: int) -> ScreenVerdict:
         condition = Condition.ALPHA1_LOWER_BOUND
     else:
         return _CONSISTENT
-    return ScreenVerdict(Outcome.VIOLATES, condition, Fraction(num, rad))
+    return ScreenVerdict(Outcome.VIOLATES, condition, _fraction(num, rad))
 
 
 def _screen_alpha2_combined(ps, den: int) -> ScreenVerdict:
@@ -171,7 +172,7 @@ def _screen_alpha2_combined(ps, den: int) -> ScreenVerdict:
     # reduce case 2 once and swap each case in by a reduced product, whose
     # two gcds are large-by-small: reducing each swapped pair would cost a
     # big-by-big gcd per case
-    case2 = Fraction(num, den)
+    case2 = _fraction(num, den)
     n, d = case2.numerator, case2.denominator
     cases = [("case2", case2)]
     for q in ps:
@@ -205,7 +206,8 @@ def _radical_screen(ps: tuple[int, ...], mode: Mode) -> ScreenVerdict:
         return _screen_alpha1(ps, math.prod(ps))
     if mode is Mode.ALPHA2_CASE1:
         return _screen_alpha2_combined(ps, math.prod(ps) ** 2)
-    raise InvalidArgument(f"unknown screening mode: {mode!r}")
+    shown = _digits(mode) if isinstance(mode, int) else _quoted(mode)
+    raise InvalidArgument(f"unknown screening mode: {shown}")
 
 
 def full_screen(f: Factorization) -> list[ScreenVerdict]:

@@ -3,7 +3,7 @@
 Each mutant breaks a contract the code states: a proven primality bound, the
 prime stream holding exactly the primes up to its bound, a factorization's
 proof, an outward-rounded enclosure, an exact screening identity, a closed
-form of a truncated product, a reduced case witness, the Eulerian form, a
+form of a truncated product, a reduced witness, the Eulerian form, a
 result record's equality, an argument's lower bound, the exact rendering of
 a certified constant, the printing of an integer past the int-to-str digit
 limit, the command line's parse, or the modules a call loads.  For each one the script copies the
@@ -50,6 +50,12 @@ MUTANTS = [
         "primes.py",
         "for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:",
         "for a in _MR_WITNESSES[: bisect_left(_MR_PSI, n) + 1]:",
+    ),
+    (
+        "the sized gcd leaves out p for n = p^2",
+        "primes.py",
+        "if math.gcd(n, _START_PRODUCTS[bisect_right(_START_SQUARES, n)]) != 1:",
+        "if math.gcd(n, _START_PRODUCTS[bisect_left(_START_SQUARES, n)]) != 1:",
     ),
     (
         "gcd proves primes up to 2056^2, past 2049^2",
@@ -116,6 +122,12 @@ MUTANTS = [
         "exact_arith.py",
         "g1 = gcd(n, b)",
         "g1 = 1",
+    ),
+    (
+        "a witness is not reduced",
+        "exact_arith.py",
+        "g = gcd(num, den)",
+        "g = 1",
     ),
     (
         "the Eulerian form asks for a special prime 3 mod 4",

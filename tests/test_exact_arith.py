@@ -15,6 +15,8 @@ from opnlab.exact_arith import (
     MAX_DECIMAL_EXPONENT,
     MAX_MANTISSA_LENGTH,
     RatInterval,
+    Record,
+    _fraction,
     _reduced_product,
     as_rational,
 )
@@ -80,6 +82,14 @@ def test_the_reduced_product_is_fractions_own(x, y):
     assert hash(product) == hash(x * y) and product == pickle.loads(pickle.dumps(product))
 
 
+@given(st.integers(min_value=0), st.integers(min_value=1))
+def test_the_witness_helper_is_fractions_own(n, d):
+    witness, expected = _fraction(n, d), Fraction(n, d)
+    assert type(witness) is Fraction
+    assert (witness.numerator, witness.denominator) == (expected.numerator, expected.denominator)
+    assert hash(witness) == hash(expected)
+
+
 def test_interval_validation():
     with pytest.raises(InvalidArgument):
         RatInterval(Fraction(2), Fraction(1))
@@ -130,6 +140,7 @@ def test_a_record_refuses_assignment_and_deletion(cls, names, values, other):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == cls(*values)
+    assert tuple(getattr(record, name) for name in names) == values
 
 
 @pytest.mark.parametrize("cls, names, values, other", RECORDS)
@@ -143,13 +154,22 @@ def test_records_compare_and_hash_by_their_fields(cls, names, values, other):
         changed = cls(*values[:i], other[i], *values[i + 1 :])
         assert changed != record and not changed == record
     assert record != values and record != object()
-    assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+    # hashed as its fields' tuple and pickled as (type, fields)
+    assert hash(record) == hash(values) and record.__reduce__() == (cls, values)
+    copied = pickle.loads(pickle.dumps(record))
+    assert type(copied) is cls and copied == record == copy.deepcopy(record)
+    assert repr(copied) == repr(record)
 
 
 @pytest.mark.parametrize("cls, names, values, other", RECORDS)
 def test_a_record_shows_its_fields(cls, names, values, other):
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
+def test_the_record_table_covers_every_record_type():
+    # so the tests above run over every Record subclass
+    assert {cls for cls, *_ in RECORDS} == set(Record.__subclasses__())
 
 
 def test_a_factorization_computes_n_once_and_compares_without_it():

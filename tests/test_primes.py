@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 import sys
@@ -312,6 +313,17 @@ def test_is_prime_agrees_with_sieve_oracle_exhaustively():
 GCD_BOUND = 2049**2  # every composite below it has a prime factor <= 2048
 
 
+# a start prime p and the next prime p': a small p, whose p^2 and p p' take
+# the lookup, the last prime below 1024, the last whose square lies below
+# 2^21, and the largest start prime
+_SIZED_GCD_PAIRS = ((31, 37), (1021, 1031), (1447, 1451), (2039, 2053))
+
+
+@functools.cache
+def _flags_below_the_gcd_bound():
+    return sieve_flags(GCD_BOUND - 1)
+
+
 def fresh_sieve_mismatches(ranges):
     """The n in ranges on which is_prime, over a fresh default sieve that
     stays at its start bound 2048 throughout, disagrees with sieve_flags."""
@@ -352,16 +364,42 @@ def test_is_prime_agrees_with_sieve_oracle_on_a_fresh_sieve():
         (4198409, True),
         (2053**2, False),  # the least composites with no factor <= 2048
         (2053 * 2063, False),
+        # with 1021^2 and 2039^2 above, p^2 and p times the next prime for
+        # each of _SIZED_GCD_PAIRS: the gcd takes the start primes up to
+        # isqrt(n), so p^2 must still meet p (31^2 and 31 * 37 lie below 2048
+        # and take the lookup)
+        (31**2, False),
+        (31 * 37, False),
+        (1021 * 1031, False),
+        (1447**2, False),
+        (1447 * 1451, False),
+        (2039 * 2053, False),
     ],
 )
 def test_is_prime_across_the_gcd_bound_on_a_fresh_sieve(n, expected):
     set_prime_cap(DEFAULT_PRIME_CAP)
     try:
-        assert primes._default_sieve.limit < n
+        assert primes._default_sieve.limit == 2048
         assert is_prime(n) is expected
         assert prime_by_trial_division(n) is expected
+        if n < GCD_BOUND:
+            assert bool(_flags_below_the_gcd_bound()[n]) is expected
+        assert primes._default_sieve.limit == 2048
     finally:
         set_prime_cap(DEFAULT_PRIME_CAP)
+
+
+@pytest.mark.parametrize(
+    "n", [n for p, q in _SIZED_GCD_PAIRS for n in (p * p, p * q)], ids=lambda n: str(n)
+)
+def test_a_prime_set_sizes_its_gcd_to_its_largest_member(n):
+    # the set's largest member sizes the product: n itself, then the prime
+    # 4198379 just below the gcd bound, which takes every start prime
+    flags = _flags_below_the_gcd_bound()
+    assert not flags[n] and flags[4198379]
+    assert primes._first_nonprime((3, n)) == n
+    assert primes._first_nonprime((3, 5, n, 4198379)) == n
+    assert primes._first_nonprime((3, 5, n - 2, 4198379)) == (None if flags[n - 2] else n - 2)
 
 
 def test_strong_test_rejects_composites_past_psi_13():
@@ -523,7 +561,7 @@ _LONG_TEXT = f"{_LONG // 10**4672}... (4772 digits)"
     [
         (((-_LONG, 1),), f"-{_LONG_TEXT} is not prime"),
         (((3, 1), (_LONG, 1)), f"{_LONG_TEXT} is not prime"),
-        (((3, -_LONG),), f"exponent for 3 must be >= 1, got -{_LONG_TEXT}"),
+        (((3, -_LONG),), f"exponent for 3 must be an integer >= 1, got -{_LONG_TEXT}"),
     ],
     ids=["negative", "composite", "exponent"],
 )

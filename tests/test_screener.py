@@ -133,18 +133,21 @@ _LONG_TEXT = f"{_LONG // 10**4672}... (4772 digits)"
 
 
 @pytest.mark.parametrize(
-    "members, message",
+    "members, mode, message",
     [
-        ([3, _LONG, 5, _LONG], f"duplicate prime {_LONG_TEXT}"),
-        ([3, _LONG, 5], f"{_LONG_TEXT} is not prime"),
-        ([3, -_LONG, 5], f"-{_LONG_TEXT} is not prime"),
+        ([3, _LONG, 5, _LONG], Mode.AUTO, f"duplicate prime {_LONG_TEXT}"),
+        ([3, _LONG, 5], Mode.AUTO, f"{_LONG_TEXT} is not prime"),
+        ([3, -_LONG, 5], Mode.AUTO, f"-{_LONG_TEXT} is not prime"),
+        ([3, 5, 7], 10**5000, f"unknown screening mode: {10**99}... (5001 digits)"),
+        ([3, 5, 7], "x" * 300, f"unknown screening mode: '{'x' * 100}'... (300 characters)"),
     ],
-    ids=["duplicate", "composite", "negative"],
+    ids=["duplicate", "composite", "negative", "huge_int_mode", "long_string_mode"],
 )
-def test_a_prime_set_error_quotes_a_long_integer_by_its_head(members, message):
+def test_a_prime_set_error_quotes_a_long_integer_by_its_head(members, mode, message):
     with pytest.raises(InvalidArgument) as info:
-        radical_screen(members)
+        radical_screen(members, mode)
     assert str(info.value) == message
+    assert len(message) < 250 and "\n" not in message
 
 
 def test_radical_screen_rejects_non_integral_primes():
