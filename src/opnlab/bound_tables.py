@@ -24,22 +24,20 @@ Arguments are checked once, at the public entries.  A probe is the window
 product as an unreduced integer pair (num, den), prefix included: num is
 the prefix numerator times the product of the factor numerators
 sigma_alpha(p) = 1 + p + ... + p^alpha over the window, den the prefix
-denominator times (prod p)^alpha.  Past the prefix these are the integers
-of ``abundancy._truncated_pair``, but both products read a per-alpha store
-indexed like the prime stream: the numerators, which
-``exact_arith._geometric_sums`` computes once per prime as the store grows
-rather than once per probe, and the primes themselves, so a probe is two
-C-level products over two list slices.
-A probe takes no sieve lock: it compares its last index with the sieve cap
-and calls the sieve only to raise its ResourceLimit past the cap, or to
-grow the store; a table row reads its three primes from the store too.
-The store doubles as the probed indices rise, within the cap; a longer
-pair of lists replaces the old one whole, never extended in place, so
-concurrent searches share it safely; and it keeps the 8 alphas used most
-recently.  Each pair is decided like the radical screen's by
-``constants.below``, which compares it with the threshold bracket's grid
-integers by cross-multiplication and answers a bool; only ``rho``, which
-shows the value, reduces it to a ``Fraction``.
+denominator times (prod p)^alpha, the integers of
+``abundancy._truncated_pair`` past the prefix.  So a probe is two C-level
+products over two list slices: the primes from the sieve's own append-only
+list (``primes._stream``), read without a lock, and the numerators from a
+per-alpha store that ``exact_arith._geometric_sums`` fills once per prime.
+A numerator depends on its prime's index alone, so a cap change leaves the
+store valid; the table reads the cap only in ``_find_index``'s gallop
+clamp.  The store doubles as the probed indices rise; a longer list
+replaces the old one whole, never extended in place, so concurrent
+searches share it safely; and it keeps the 8 alphas used most recently.
+Each pair is decided like the radical screen's by ``constants.below``,
+which compares it with the threshold bracket's grid integers by
+cross-multiplication and answers a bool; only ``rho``, which shows the
+value, reduces it to a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from fractions import Fraction
 from .constants import below
 from .errors import InvalidArgument, _digits
 from .exact_arith import Record, _geometric_sums, as_index
-from .primes import nth_prime, prime_cap, primes_window
+from .primes import _stream, prime_cap
 
 TABLE_MIN_M = 9  # an odd perfect number has at least 9 distinct prime factors
 
@@ -78,43 +76,28 @@ def _checked(k, m, alpha) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _store(alpha: int) -> list[tuple[list[int], list[int]]]:
-    """A one-slot cell holding the lists sigma_alpha(p_1), sigma_alpha(p_2), ...
-    and p_1, p_2, ..., of one length.
+def _store(alpha: int) -> list[list[int]]:
+    """A one-slot cell holding the list sigma_alpha(p_1), sigma_alpha(p_2), ...
 
-    Neither list is ever changed: a longer pair is built and rebinds the
-    slot, so a concurrent reader holds either pair, and both are correct.
+    The list is never changed: a longer one is built and rebinds the slot,
+    so a concurrent reader holds either list, and both are correct.
     """
-    return [([], [])]
-
-
-def _factors(alpha: int, count: int) -> tuple[list[int], list[int]]:
-    """The stored numerators and primes for alpha, grown to hold at least
-    ``count``, which must be within the sieve cap."""
-    cell = _store(alpha)
-    sigmas, primes = cell[0]
-    if len(sigmas) < count:
-        # double, within the cap, so a table's slowly rising probes rebuild
-        # the lists O(log) times
-        size = max(count, min(2 * len(sigmas), prime_cap()))
-        new = primes_window(len(sigmas) + 1, size - len(sigmas))
-        sigmas = sigmas + _geometric_sums(new, alpha)
-        primes = primes + new
-        cell[0] = sigmas, primes
-    return sigmas, primes
+    return [[]]
 
 
 def _window(k: int, m: int, r: int, alpha: int) -> tuple[int, int]:
     """Unreduced (num, den) of the window product; arguments already checked.
-
-    The prefix times the integers of ``abundancy._truncated_pair`` over the
-    window, read from the store: no sieve call, and so no sieve lock, unless
-    the store must grow.
-    """
+    The primes come from the sieve's list, the numerators from the store."""
     end = r + m - k
-    if end > prime_cap():
-        nth_prime(end)  # the sieve's ResourceLimit, whatever the store holds
-    sigmas, primes = _factors(alpha, end)
+    primes = _stream(end)
+    cell = _store(alpha)
+    sigmas = cell[0]
+    if len(sigmas) < end:
+        # double, within the primes sieved, so a table's slowly rising probes
+        # rebuild the list O(log) times
+        size = max(end, min(2 * len(sigmas), len(primes)))
+        sigmas = sigmas + _geometric_sums(primes[len(sigmas) : size], alpha)
+        cell[0] = sigmas
     num, den = _PREFIX[k]
     return num * math.prod(sigmas[r - 1 : end]), den * math.prod(primes[r - 1 : end]) ** alpha
 
@@ -205,8 +188,7 @@ def generate_table(m_min: int, m_max: int, alpha: int = 1) -> list[BoundTableRow
     for m in range(m_min, m_max + 1):
         for k in index:
             index[k] = _find_index(k, m, alpha, above=index[k] - 1)
-        # every found index was probed, so the store already holds its prime
-        _, primes = _factors(alpha, max(index.values()))
+        primes = _stream(max(index.values()))  # every found index was probed
         rows.append(
             BoundTableRow(
                 m=m,

@@ -434,11 +434,15 @@ def main(argv=None) -> int:
         if args.command != "constants":  # the one command with no sieve
             from . import primes
 
+            cap = os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP)
             try:
-                cap = int(os.environ.get("OPNLAB_PRIME_CAP", primes.DEFAULT_PRIME_CAP))
+                cap = int(cap)
+            except ValueError:
+                pass  # not an integer: the sieve's own check quotes the text
+            try:
                 if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
                     primes.set_prime_cap(cap)
-            except (ValueError, OpnlabError) as exc:
+            except OpnlabError as exc:
                 print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
                 return 2
         return globals()["_cmd_" + args.command](args)

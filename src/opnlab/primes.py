@@ -1,10 +1,12 @@
 """Prime generation, primality testing, and desk-scale factorization.
 
 A single growable segmented sieve backs the indexed prime stream
-(``nth_prime``, ``primes_window``) and ``factorize``'s trial primes.  It
-grows one way, by ``ensure_count``, and its ``primes`` are exactly the primes
-up to its ``limit``.  ``is_prime`` depends on n alone and never reads the
-sieve; it proves its answer in three tiers.  Up to 2048 it looks n up among
+(``nth_prime``, ``primes_window``, the bound table's windows) and
+``factorize``'s trial primes.  It grows one way, by ``ensure_count``, and its
+``primes`` are exactly the primes up to its ``limit``.  That list only
+grows, under the sieve's lock, by the next primes in order, so ``_stream``
+hands it out without a lock.  ``is_prime`` depends on n alone and never
+reads the sieve; it proves its answer in three tiers.  Up to 2048 it looks n up among
 the 309 primes up to 2048.  Above it, one gcd with the product of the start
 primes up to isqrt(n) finds any prime factor of n among them; below (2048 +
 1)**2 = 4,198,401, past 2**22, a composite has a prime factor up to isqrt(n)
@@ -85,7 +87,9 @@ _GCD_BOUND = (_START_LIMIT + 1) ** 2
 
 class _Sieve:
     """Segmented sieve of Eratosthenes: ``primes`` holds exactly the primes
-    up to ``limit``, and ``ensure_count`` is the one way to grow it."""
+    up to ``limit``.  ``ensure_count``, the one way to grow it, only appends
+    the next primes in order, under the lock, so a reader without the lock
+    always sees a correct prefix."""
 
     def __init__(self, cap: int = DEFAULT_PRIME_CAP):
         self.cap = as_index(cap, "prime cap", 1)
@@ -211,6 +215,15 @@ def _first_nonprime(ps: tuple[int, ...]) -> int | None:
     return next((p for p in ps if not is_prime(p)), None)
 
 
+def _stream(count: int) -> list[int]:
+    """The default sieve's own list, not to be changed, once it holds
+    ``count`` primes; no lock unless past the cap (ResourceLimit) or short."""
+    sieve = _default_sieve
+    if count > sieve.cap or len(sieve.primes) < count:
+        sieve.ensure_count(count)
+    return sieve.primes
+
+
 def nth_prime(k: int) -> int:
     """The k-th prime, 1-based (p_1 = 2)."""
     return primes_window(k, 1)[0]
@@ -221,9 +234,7 @@ def primes_window(start: int, count: int) -> list[int]:
     start, count = as_index(start, "prime index", 1), as_index(count, "window count", 0)
     if count == 0:
         return []
-    sieve = _default_sieve
-    sieve.ensure_count(start + count - 1)
-    return sieve.primes[start - 1 : start + count - 1]
+    return _stream(start + count - 1)[start - 1 : start + count - 1]
 
 
 class Factorization(Record):

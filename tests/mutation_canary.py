@@ -1,16 +1,20 @@
 """Mutation canary: tier-1 must fail on each of a fixed list of one-line mutants.
 
 Each mutant breaks a contract the code states: a proven primality bound, the
-prime stream holding exactly the primes up to its bound, a factorization's
-proof, an outward-rounded enclosure, an exact screening identity, a closed
-form of a truncated product, a reduced witness, the Eulerian form, a
-result record's equality, an argument's lower bound, the exact rendering of
-a certified constant, the printing of an integer past the int-to-str digit
-limit, the command line's parse, or the modules a call loads.  For each one the script copies the
-repository (without ``.git`` and caches) into a temporary directory,
+prime stream holding exactly the primes up to its bound and none past its
+cap, a factorization's proof, a bound-table window's product, an
+outward-rounded enclosure, an exact screening identity, a closed form of a
+truncated product, a reduced witness, the Eulerian form, a result record's
+equality, an argument's lower bound, the exact rendering of a certified
+constant, the printing of an integer past the int-to-str digit limit, the
+command line's parse, or the modules a call loads.  For each one the script
+copies the repository (without ``.git`` and caches) into a temporary directory,
 replaces one line, and runs ``pytest -x -q`` there with a fixed hypothesis
 seed, so every run draws the same examples; the mutant is killed when
-pytest reports a failing test (exit 1).
+pytest reports a failing test (exit 1).  Each run names every
+``tests/test_*.py`` file, with the mutated module's own test file first when
+there is one, so most mutants stop at their first failing test without
+running the rest of the suite.
 The unmutated copy runs first and must pass, so a suite that is already
 broken cannot kill anything by accident.
 
@@ -70,10 +74,22 @@ MUTANTS = [
         "start = max(p * p, lo // p * p)",
     ),
     (
+        "the prime stream hands out primes past the cap that the sieve already holds",
+        "primes.py",
+        "if count > sieve.cap or len(sieve.primes) < count:",
+        "if len(sieve.primes) < count:",
+    ),
+    (
         "factorize takes a residual that is the square of the next trial prime as prime",
         "primes.py",
         "if p * p > residual:",
         "if p * p >= residual:",
+    ),
+    (
+        "the bound table's numerator store grows to one short of the probed window",
+        "bound_tables.py",
+        "size = max(end, min(2 * len(sigmas), len(primes)))",
+        "size = max(end - 1, min(2 * len(sigmas), len(primes)))",
     ),
     (
         "threshold upper end floored, not ceiled",
@@ -198,9 +214,16 @@ MUTANTS = [
 ]
 
 
-def _run_pytest(copy: Path) -> tuple[int | None, float, str]:
+def _run_pytest(copy: Path, module: str = "") -> tuple[int | None, float, str]:
     """pytest's exit code on the copy (None on timeout), its wall time and
-    the last lines of its output."""
+    the last lines of its output.
+
+    Every test file is named, in name order but with ``test_<module>.py``
+    first.  Files, not the ``tests`` directory: pytest puts a file named
+    before its own directory back in the directory's order.
+    """
+    names = sorted(path.name for path in (copy / "tests").glob("test_*.py"))
+    names.sort(key=lambda name: name != f"test_{module}.py")  # stable: the rest keep name order
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.monotonic()
     try:
@@ -214,7 +237,7 @@ def _run_pytest(copy: Path) -> tuple[int | None, float, str]:
                 "-p",
                 "no:cacheprovider",
                 f"--hypothesis-seed={HYPOTHESIS_SEED}",
-                "tests",
+                *(f"tests/{name}" for name in names),
             ],
             cwd=copy,
             env=env,
@@ -258,7 +281,7 @@ def main() -> int:
                 failures += 1
                 continue
             path.write_text(text.replace(line, mutated))
-            code, took, tail = _run_pytest(copy)
+            code, took, tail = _run_pytest(copy, Path(filename).stem)
             if code == 1:
                 print(f"killed    {name} ({took:.1f} s)")
             else:

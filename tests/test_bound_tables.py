@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnlab import bound_tables
+from opnlab import primes
 from opnlab.abundancy import _truncated_pair
 from opnlab.bound_tables import (
     _PREFIX,
@@ -253,21 +253,26 @@ def test_windows_stop_exactly_at_the_prime_cap(k, m, alpha, cold):
         set_prime_cap(DEFAULT_PRIME_CAP)
 
 
-def test_a_probe_within_the_cap_makes_no_sieve_call(monkeypatch):
-    # a window that ends exactly on the cap's last prime is read from a warm
-    # store alone: no sieve call, and so no sieve lock
+def test_reads_within_the_cap_make_no_sieve_call(monkeypatch):
+    # on a sieve that already holds their primes, a probe, a table row, a
+    # window and nth_prime read its list without a lock: no ensure_count,
+    # even for a window that ends exactly on the cap's last prime
     k, m, alpha = 3, 12, 3
     r = find_I(k, m, alpha)
-    value = rho(k, m, r, alpha)
-
-    def sieve_call(*args):
-        raise AssertionError(f"sieve called with {args}")
-
+    cap = r + m - k
     try:
-        set_prime_cap(r + m - k)
-        monkeypatch.setattr(bound_tables, "nth_prime", sieve_call)
-        monkeypatch.setattr(bound_tables, "primes_window", sieve_call)
+        set_prime_cap(cap)
+        value, row = rho(k, m, r, alpha), generate_table(m, m, alpha)
+        window, last = primes_window(r, m - k + 1), nth_prime(cap)
+
+        def ensure_count(sieve, count):
+            raise AssertionError(f"ensure_count({count}) called")
+
+        monkeypatch.setattr(primes._Sieve, "ensure_count", ensure_count)
         assert rho(k, m, r, alpha) == value
+        assert generate_table(m, m, alpha) == row
+        assert primes_window(r, m - k + 1) == window
+        assert nth_prime(cap) == last
     finally:
         set_prime_cap(DEFAULT_PRIME_CAP)
 

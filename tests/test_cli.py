@@ -665,8 +665,17 @@ def test_only_a_sieve_command_reads_the_prime_cap(monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr() == (_golden_stdout(argv), "")
     assert main(["sigma", "945"]) == 2
-    message = "invalid literal for int() with base 10: 'junk'"
+    message = "prime cap must be an integer >= 1, got 'junk'"
     assert capsys.readouterr() == ("", f"error: bad OPNLAB_PRIME_CAP: {message}\n")
+
+
+def test_a_long_bad_prime_cap_is_quoted_in_one_short_line(monkeypatch, capsys):
+    monkeypatch.setenv("OPNLAB_PRIME_CAP", "x" * 5000)
+    assert main(["sigma", "945"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 250
+    assert err.startswith("error: bad OPNLAB_PRIME_CAP: prime cap must be an integer >= 1, got 'xxx")
+    assert err.endswith("'... (5000 characters)\n")
 
 
 def test_a_long_residual_cofactor_is_quoted_in_one_short_line(monkeypatch, capsys):

@@ -639,6 +639,45 @@ def test_threads_growing_one_sieve_leave_exactly_its_primes():
     assert sieve.primes == [n for n in range(sieve.limit + 1) if flags[n]]
 
 
+def test_windows_read_while_other_threads_grow_the_sieve(monkeypatch):
+    # two threads grow a fresh default sieve while two read windows at its
+    # growth front, mostly without the lock; every window must be the
+    # oracle's slice, so no reader sees a prime out of place
+    top = 20_000
+    flags = sieve_flags(224_737)  # p_20000
+    oracle = [n for n in range(len(flags)) if flags[n]]
+    sieve = _Sieve()
+    monkeypatch.setattr(primes, "_default_sieve", sieve)
+    start, wrong = threading.Barrier(4), []
+
+    def grow(offset):
+        start.wait(timeout=30)
+        for k in range(300 + offset, top, 499):
+            sieve.ensure_count(k)
+
+    def read(ahead):
+        start.wait(timeout=30)
+        for i in range(3000):
+            end = min(len(sieve.primes) + ahead, top)
+            first = max(1, end - i % 40)
+            if primes_window(first, end - first + 1) != oracle[first - 1 : end]:
+                wrong.append((first, end))
+
+    threads = [threading.Thread(target=grow, args=(i,)) for i in (0, 250)]
+    threads += [threading.Thread(target=read, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def test_nth_prime_beyond_cap_raises():
     set_prime_cap(100)
     try:
