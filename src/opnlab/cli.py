@@ -14,18 +14,18 @@ as a shift of a grid integer.
 
 Every printed int goes through ``_int_str``, which no int-to-str digit limit
 stops; the limit (PYTHONINTMAXSTRDIGITS) bounds every integer argument
-instead, and one past it exits 2 with one line quoting at most 100
-characters.  A sigma or screen factorization is refused before any
-arithmetic when its sum of e * bit_length(p) is past 2^17 bits.
+instead: one past it, or a non-integer as long, exits 2 with one line
+quoting at most 100 characters.  A sigma or screen factorization is refused
+before any arithmetic when its sum of e * bit_length(p) is past 2^17 bits.
 
 ``main()`` reads a plain call straight from the grammar table, building no
 parser and importing no argparse.  Any other call (help, a usage error, an
 abbreviated or ``--opt=value`` form) goes to the ``build_parser()`` argparse
 tree, which the plain reading must equal.  A call imports only the modules
-its command uses.  Each sigma, screen, radical and table call sets the sieve
-cap from OPNLAB_PRIME_CAP, or the default when it is unset, and keeps the
-grown sieve when the cap is unchanged; constants has no sieve and does not
-read the variable.
+its command uses.  Each sigma, screen, radical and table call sets the prime
+cap, which bounds the primes it reads and leaves the grown sieve in place,
+from OPNLAB_PRIME_CAP, or the default when it is unset; constants has no
+sieve and does not read the variable.
 
 Each subcommand builds its output once as a list of flat records, whose keys
 are the csv columns and the jsonl keys.  csv is a header line plus one row
@@ -68,14 +68,16 @@ def _int_str(n: int) -> str:
 
 
 def _int(text: str) -> int:
-    """int(text), but a ParseError quoting the head of a text past the
-    interpreter's int-to-str digit limit."""
+    """int(text), but a ParseError quoting the head of a text longer than the
+    interpreter's int-to-str digit limit: past the limit, or not an integer."""
     try:
         return int(text)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         if not 0 < limit < len(text):
             raise
+        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # as int() reads a decimal
+            raise ParseError(f"not an integer: {_quoted(text)}") from None
         message = f"is longer than the limit of {limit} digits; PYTHONINTMAXSTRDIGITS raises it"
         raise ParseError(f"integer {_quoted(text)} {message}") from None
 
@@ -411,7 +413,7 @@ def _plain_call(argv):
 def build_parser():
     """Every subcommand's parser nested in one argparse tree, shared by every
     caller: do not modify it.  ``main()`` parses with it what ``_plain_call`` does not.
-    An integer argument past the digit limit raises ParseError, not a usage error."""
+    An integer argument longer than the digit limit raises ParseError, not a usage error."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -429,7 +431,7 @@ def build_parser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:  # an integer argument past the digit limit raises ParseError
+    try:  # an integer argument longer than the digit limit raises ParseError
         args = _plain_call(argv) or build_parser().parse_args(argv)
         if args.command != "constants":  # the one command with no sieve
             from . import primes
@@ -438,13 +440,11 @@ def main(argv=None) -> int:
             try:
                 cap = int(cap)
             except ValueError:
-                pass  # not an integer: the sieve's own check quotes the text
+                pass  # not an integer: the cap's own check quotes the text
             try:
-                if cap != primes.prime_cap():  # keep the grown sieve when the cap is unchanged
-                    primes.set_prime_cap(cap)
+                primes.set_prime_cap(cap)
             except OpnlabError as exc:
-                print(f"error: bad OPNLAB_PRIME_CAP: {exc}", file=sys.stderr)
-                return 2
+                raise ParseError(f"bad OPNLAB_PRIME_CAP: {exc}") from None
         return globals()["_cmd_" + args.command](args)
     except OpnlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,27 +1,28 @@
 """Prime generation, primality testing, and desk-scale factorization.
 
-A single growable segmented sieve backs the indexed prime stream
+One segmented sieve, built once, backs the indexed prime stream
 (``nth_prime``, ``primes_window``, the bound table's windows) and
-``factorize``'s trial primes.  It grows one way, by ``ensure_count``, and its
-``primes`` are exactly the primes up to its ``limit``.  That list only
-grows, under the sieve's lock, by the next primes in order, so ``_stream``
-hands it out without a lock.  ``is_prime`` depends on n alone and never
-reads the sieve; it proves its answer in three tiers.  Up to 2048 it looks n up among
-the 309 primes up to 2048.  Above it, one gcd with the product of the start
-primes up to isqrt(n) finds any prime factor of n among them; below (2048 +
-1)**2 = 4,198,401, past 2**22, a composite has a prime factor up to isqrt(n)
-<= 2048, so a gcd of 1 proves n prime.  From that bound on the gcd takes all
-309 start primes.  Up to psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs
-with a witness ladder: n below psi_k, the least strong pseudoprime to the
-first k prime bases, is decided by those k bases alone.  Past psi_13 a
-failed 13-base strong test proves n composite, and a pass raises
-ResourceLimit.  A set of primes is proven by the same tiers on the whole
-set: one superset test and one gcd sized to its largest member, then the
-ladder for its members from 4,198,401 on.  ``factorize``'s record is its
-own proof, checked no further; only a caller's ``Factorization`` is
-validated.  No probabilistic answers are ever returned.  Every public entry
-point takes integers only (``exact_arith.as_index``); anything else, or an
-integer below its bound, raises InvalidArgument naming the argument.
+``factorize``'s trial primes.  It grows only by ``ensure_count``, which
+appends the next primes in order under its lock, so ``_stream`` hands out
+its list of the primes up to its ``limit`` without a lock.  The prime cap
+bounds what ``_stream`` and ``factorize`` read, not the sieve.  ``is_prime``
+depends on n alone and never reads the sieve; it proves its answer in three
+tiers.  Up to 2048 it looks n up among the 309 primes up to 2048.  Above it,
+one gcd with the product of the start primes up to isqrt(n) finds any prime
+factor of n among them; below (2048 + 1)**2 = 4,198,401, past 2**22, a
+composite has a prime factor up to isqrt(n) <= 2048, so a gcd of 1 proves n
+prime.  From that bound on the gcd takes all 309 start primes.  Up to
+psi_13 = 3.3e24 (covers 64-bit) Miller-Rabin runs with a witness ladder: n
+below psi_k, the least strong pseudoprime to the first k prime bases, is
+decided by those k bases alone.  Past psi_13 a failed 13-base strong test
+proves n composite, and a pass raises ResourceLimit.  A set of primes is
+proven by the same tiers on the whole set: one superset test and one gcd
+sized to its largest member, then the ladder for its members from 4,198,401
+on.  ``factorize``'s record is its own proof, checked no further; only a
+caller's ``Factorization`` is validated.  No probabilistic answers are ever
+returned.  Every public entry point takes integers only
+(``exact_arith.as_index``); anything else, or an integer below its bound,
+raises InvalidArgument naming the argument.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from operator import mul
 from .errors import InvalidArgument, ResourceLimit, _digits
 from .exact_arith import Record, as_index
 
-DEFAULT_PRIME_CAP = 10**6  # how many primes the sieve may generate
+DEFAULT_PRIME_CAP = 10**6  # how many primes the stream and factorize may read
 
 # psi_k is the least strong pseudoprime to the first k prime bases, so those
 # k bases prove compositeness deterministically for every n < psi_k (Jaeschke,
@@ -87,22 +88,16 @@ _GCD_BOUND = (_START_LIMIT + 1) ** 2
 
 class _Sieve:
     """Segmented sieve of Eratosthenes: ``primes`` holds exactly the primes
-    up to ``limit``.  ``ensure_count``, the one way to grow it, only appends
-    the next primes in order, under the lock, so a reader without the lock
-    always sees a correct prefix."""
+    up to ``limit``.  ``ensure_count``, its one way to grow, appends the next
+    primes in order under the lock, so a lock-free reader sees a correct prefix."""
 
-    def __init__(self, cap: int = DEFAULT_PRIME_CAP):
-        self.cap = as_index(cap, "prime cap", 1)
+    def __init__(self):
         self._lock = threading.Lock()
         self.limit = _START_LIMIT
         self.primes = sorted(_START_PRIMES)
 
     def ensure_count(self, k: int) -> None:
-        """Grow until at least k primes are sieved; k must respect the cap."""
-        if k > self.cap:
-            raise ResourceLimit(
-                f"requested prime #{_digits(k)} exceeds the sieve cap of {_digits(self.cap)}"
-            )
+        """Grow until at least k primes are sieved."""
         with self._lock:
             while len(self.primes) < k:
                 kk = max(k, 6)
@@ -125,17 +120,17 @@ class _Sieve:
 
 
 _default_sieve = _Sieve()
+_cap = DEFAULT_PRIME_CAP
 
 
 def set_prime_cap(cap: int) -> None:
-    """Replace the sieve cap (count of primes the stream may produce); the
-    rebinding is one atomic store, so of two racing calls the last wins."""
-    global _default_sieve
-    _default_sieve = _Sieve(cap)
+    """Set how many primes the stream and factorize may read; the sieve is kept."""
+    global _cap
+    _cap = as_index(cap, "prime cap", 1)
 
 
 def prime_cap() -> int:
-    return _default_sieve.cap
+    return _cap
 
 
 def _miller_rabin(n: int) -> bool:
@@ -217,11 +212,14 @@ def _first_nonprime(ps: tuple[int, ...]) -> int | None:
 
 def _stream(count: int) -> list[int]:
     """The default sieve's own list, not to be changed, once it holds
-    ``count`` primes; no lock unless past the cap (ResourceLimit) or short."""
-    sieve = _default_sieve
-    if count > sieve.cap or len(sieve.primes) < count:
-        sieve.ensure_count(count)
-    return sieve.primes
+    ``count`` primes; ResourceLimit past the cap, and no lock unless short."""
+    if count > _cap:
+        raise ResourceLimit(
+            f"requested prime #{_digits(count)} exceeds the sieve cap of {_digits(_cap)}"
+        )
+    if len(_default_sieve.primes) < count:
+        _default_sieve.ensure_count(count)
+    return _default_sieve.primes
 
 
 def nth_prime(k: int) -> int:
@@ -262,7 +260,8 @@ class Factorization(Record):
                 raise InvalidArgument(
                     f"primes must be strictly increasing, got {_digits(p)} after {_digits(prev)}"
                 )
-            e = as_index(e, f"exponent for {_digits(p)}", 1)
+            if type(e) is not int or e < 1:  # hot path: the name is built only for a bad e
+                e = as_index(e, f"exponent for {_digits(p)}", 1)
             if not is_prime(p):
                 raise InvalidArgument(f"{_digits(p)} is not prime")
             checked.append((p, e))
@@ -309,12 +308,12 @@ def factorize(n: int) -> Factorization:
     composite residual needing primes beyond the cap raises ResourceLimit.
     """
     n = as_index(n, "n", 1)
-    sieve = _default_sieve
+    sieve, cap = _default_sieve, _cap
     pairs: list[tuple[int, int]] = []
     residual = n
     idx = 0
     while residual > 1:
-        if idx >= sieve.cap:
+        if idx >= cap:
             if is_prime(residual):
                 pairs.append((residual, 1))
                 break

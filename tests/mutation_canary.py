@@ -7,14 +7,15 @@ outward-rounded enclosure, an exact screening identity, a closed form of a
 truncated product, a reduced witness, the Eulerian form, a result record's
 equality, an argument's lower bound, the exact rendering of a certified
 constant, the printing of an integer past the int-to-str digit limit, the
-command line's parse, or the modules a call loads.  For each one the script
+command line's parse, the modules a call loads, or a count contract
+(``tests/test_contracts.py``).  For each one the script
 copies the repository (without ``.git`` and caches) into a temporary directory,
 replaces one line, and runs ``pytest -x -q`` there with a fixed hypothesis
 seed, so every run draws the same examples; the mutant is killed when
 pytest reports a failing test (exit 1).  Each run names every
 ``tests/test_*.py`` file, with the mutated module's own test file first when
-there is one, so most mutants stop at their first failing test without
-running the rest of the suite.
+there is one and the count contracts next, so most mutants stop at their
+first failing test without running the rest of the suite.
 The unmutated copy runs first and must pass, so a suite that is already
 broken cannot kill anything by accident.
 
@@ -76,8 +77,20 @@ MUTANTS = [
     (
         "the prime stream hands out primes past the cap that the sieve already holds",
         "primes.py",
-        "if count > sieve.cap or len(sieve.primes) < count:",
-        "if len(sieve.primes) < count:",
+        "if count > _cap:",
+        "if count > _cap and len(_default_sieve.primes) < count:",
+    ),
+    (
+        "a factorization's exponent check formats its error name for every valid pair",
+        "primes.py",
+        "if type(e) is not int or e < 1:  # hot path: the name is built only for a bad e",
+        "if True:",
+    ),
+    (
+        "a prime set runs the Miller-Rabin ladder on members the gcd already proved",
+        "primes.py",
+        "return next(filterfalse(_ladder, ps[bisect_left(ps, _GCD_BOUND, small) :]), None)",
+        "return next(filterfalse(_ladder, ps[small:]), None)",
     ),
     (
         "factorize takes a residual that is the square of the next trial prime as prime",
@@ -90,6 +103,12 @@ MUTANTS = [
         "bound_tables.py",
         "size = max(end, min(2 * len(sigmas), len(primes)))",
         "size = max(end - 1, min(2 * len(sigmas), len(primes)))",
+    ),
+    (
+        "a comparison starts from an 8-bit bracket, so a table builds several",
+        "constants.py",
+        "_DEFAULT_J = _target_bits(DEFAULT_WIDTH) + 1",
+        "_DEFAULT_J = 8",
     ),
     (
         "threshold upper end floored, not ceiled",
@@ -219,11 +238,13 @@ def _run_pytest(copy: Path, module: str = "") -> tuple[int | None, float, str]:
     the last lines of its output.
 
     Every test file is named, in name order but with ``test_<module>.py``
-    first.  Files, not the ``tests`` directory: pytest puts a file named
+    first and then ``test_contracts.py``, whose count contracts span every
+    module.  Files, not the ``tests`` directory: pytest puts a file named
     before its own directory back in the directory's order.
     """
     names = sorted(path.name for path in (copy / "tests").glob("test_*.py"))
-    names.sort(key=lambda name: name != f"test_{module}.py")  # stable: the rest keep name order
+    # stable: the rest keep name order
+    names.sort(key=lambda name: (name != f"test_{module}.py", name != "test_contracts.py"))
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.monotonic()
     try:

@@ -20,7 +20,7 @@ from opnlab.bound_tables import (
 )
 from opnlab.constants import below
 from opnlab.errors import InvalidArgument, ResourceLimit
-from opnlab.primes import DEFAULT_PRIME_CAP, is_prime, nth_prime, primes_window, set_prime_cap
+from opnlab.primes import DEFAULT_PRIME_CAP, is_prime, nth_prime, primes_window
 from oracles import oracle_side, truncated_product
 
 # reference table: the three prime bounds for m = 9..20 at alpha = 1
@@ -230,51 +230,45 @@ def test_window_is_the_kernel_pair(km, r, alpha, cold):
 
 @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
 @pytest.mark.parametrize("k, m, alpha", [(1, 9, 1), (2, 20, 2), (3, 12, 3)])
-def test_windows_stop_exactly_at_the_prime_cap(k, m, alpha, cold):
+def test_windows_stop_exactly_at_the_prime_cap(k, m, alpha, cold, set_cap):
     # the window at I ends at prime #cap: it is in reach at that cap and one
     # prime out of reach below it, whatever the store already holds
     r = find_I(k, m, alpha)
     value = rho(k, m, r, alpha)
     cap = r + m - k
-    try:
-        set_prime_cap(cap)
-        if cold:
-            _store.cache_clear()
-        assert rho(k, m, r, alpha) == value
-        assert find_I(k, m, alpha) == r
-        set_prime_cap(cap - 1)
-        if cold:
-            _store.cache_clear()
-        with pytest.raises(ResourceLimit, match=f"prime #{cap} "):
-            rho(k, m, r, alpha)
-        with pytest.raises(ResourceLimit, match=f"prime #{cap} "):
-            find_I(k, m, alpha)
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
+    set_cap(cap)
+    if cold:
+        _store.cache_clear()
+    assert rho(k, m, r, alpha) == value
+    assert find_I(k, m, alpha) == r
+    set_cap(cap - 1)
+    if cold:
+        _store.cache_clear()
+    with pytest.raises(ResourceLimit, match=f"prime #{cap} "):
+        rho(k, m, r, alpha)
+    with pytest.raises(ResourceLimit, match=f"prime #{cap} "):
+        find_I(k, m, alpha)
 
 
-def test_reads_within_the_cap_make_no_sieve_call(monkeypatch):
+def test_reads_within_the_cap_make_no_sieve_call(monkeypatch, set_cap):
     # on a sieve that already holds their primes, a probe, a table row, a
     # window and nth_prime read its list without a lock: no ensure_count,
     # even for a window that ends exactly on the cap's last prime
     k, m, alpha = 3, 12, 3
     r = find_I(k, m, alpha)
     cap = r + m - k
-    try:
-        set_prime_cap(cap)
-        value, row = rho(k, m, r, alpha), generate_table(m, m, alpha)
-        window, last = primes_window(r, m - k + 1), nth_prime(cap)
+    set_cap(cap)
+    value, row = rho(k, m, r, alpha), generate_table(m, m, alpha)
+    window, last = primes_window(r, m - k + 1), nth_prime(cap)
 
-        def ensure_count(sieve, count):
-            raise AssertionError(f"ensure_count({count}) called")
+    def ensure_count(sieve, count):
+        raise AssertionError(f"ensure_count({count}) called")
 
-        monkeypatch.setattr(primes._Sieve, "ensure_count", ensure_count)
-        assert rho(k, m, r, alpha) == value
-        assert generate_table(m, m, alpha) == row
-        assert primes_window(r, m - k + 1) == window
-        assert nth_prime(cap) == last
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
+    monkeypatch.setattr(primes._Sieve, "ensure_count", ensure_count)
+    assert rho(k, m, r, alpha) == value
+    assert generate_table(m, m, alpha) == row
+    assert primes_window(r, m - k + 1) == window
+    assert nth_prime(cap) == last
 
 
 def test_concurrent_tables_from_an_empty_store():
@@ -360,20 +354,17 @@ def test_find_is_the_first_certified_below_window(k, m, alpha):
         assert not below(q.numerator, q.denominator, alpha)
 
 
-def test_find_raises_resource_limit_where_the_scan_does():
+def test_find_raises_resource_limit_where_the_scan_does(set_cap):
     # with 250 primes the scan finds I(3, 20) = 212; I(3, 40) lies past the
     # last window the sieve can supply, and the scan then asks for prime #251
     expected = find_I(3, 20)
-    set_prime_cap(250)
-    try:
-        assert find_I(3, 20) == expected == 212
-        assert [row.p_I3 for row in generate_table(19, 20)] == [1237, 1301]
-        with pytest.raises(ResourceLimit, match="prime #251 "):
-            find_I(3, 40)
-        with pytest.raises(ResourceLimit, match="prime #251 "):
-            generate_table(20, 40)
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
+    set_cap(250)
+    assert find_I(3, 20) == expected == 212
+    assert [row.p_I3 for row in generate_table(19, 20)] == [1237, 1301]
+    with pytest.raises(ResourceLimit, match="prime #251 "):
+        find_I(3, 40)
+    with pytest.raises(ResourceLimit, match="prime #251 "):
+        generate_table(20, 40)
 
 
 def test_find_certified_sidedness():

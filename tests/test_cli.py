@@ -25,7 +25,7 @@ from opnlab.cli import (
     parse_factorization,
 )
 from opnlab.constants import threshold_enclosure
-from opnlab.errors import ParseError
+from opnlab.errors import InvalidArgument, ParseError, ResourceLimit
 from opnlab.exact_arith import MAX_MANTISSA_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden" / "table_m9_m20_alpha1.csv"
@@ -311,6 +311,42 @@ def test_an_integer_option_past_the_limit_exits_2_in_one_short_line(argv, defaul
     with pytest.raises(ParseError) as info:
         cli.build_parser().parse_args(argv)
     assert err == f"error: {info.value}\n"
+
+
+_DOUBLE_UNDERSCORE = "9" * 2500 + "__" + "9" * 2500  # int() takes single underscores only
+
+
+@pytest.mark.parametrize(
+    "argv, long",
+    [
+        (["table", "--m-max", "x" * 5000], "x" * 5000),
+        (["radical", "3", "5", "7" * 4999 + "x"], "7" * 4999 + "x"),
+        (["constants", "--alpha", _DOUBLE_UNDERSCORE], _DOUBLE_UNDERSCORE),
+    ],
+    ids=["letters", "digits_then_letter", "double_underscore"],
+)
+def test_a_long_non_integer_is_refused_as_not_an_integer(argv, long, default_int_str_limit):
+    # a text past the digit limit is first read as int() would read it: one
+    # that is no integer at any length is not called one
+    code, out, err = _printed(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: not an integer: '{long[:100]}'... ({len(long)} characters)\n"
+    assert len(err) < 250
+
+
+@pytest.mark.parametrize(
+    "long",
+    ["+" + "9" * 5000, "-" + "9" * 5000, " 9" + "_9" * 4400 + "\n"],
+    ids=["plus", "minus", "spaced_underscores"],
+)
+def test_a_long_signed_or_spaced_decimal_is_past_the_limit(long, default_int_str_limit):
+    # the decimal forms int() reads: a sign, surrounding space, single underscores
+    with pytest.raises(ParseError) as info:
+        cli._int(long)
+    assert str(info.value) == (
+        f"integer {long[:100]!r}... ({len(long)} characters) is longer than the limit of "
+        "4300 digits; PYTHONINTMAXSTRDIGITS raises it"
+    )
 
 
 def test_a_short_non_integer_is_still_an_argparse_usage_error():
@@ -678,19 +714,16 @@ def test_a_long_bad_prime_cap_is_quoted_in_one_short_line(monkeypatch, capsys):
     assert err.endswith("'... (5000 characters)\n")
 
 
-def test_a_long_residual_cofactor_is_quoted_in_one_short_line(monkeypatch, capsys):
+def test_a_long_residual_cofactor_is_quoted_in_one_short_line(monkeypatch, capsys, set_cap):
     monkeypatch.setenv("OPNLAB_PRIME_CAP", "50")
-    try:
-        assert main(["sigma", "1" * 1000]) == 2
-    finally:
-        primes.set_prime_cap(primes.DEFAULT_PRIME_CAP)
+    assert main(["sigma", "1" * 1000]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: residual cofactor ") and err.count("\n") == 1
     assert len(err) < 250 and " digits) exceeds the trial-division budget" in err
 
 
-def test_prime_cap_env_does_not_leak_across_calls(monkeypatch, capsys):
+def test_prime_cap_env_does_not_leak_across_calls(monkeypatch, capsys, set_cap):
     monkeypatch.setenv("OPNLAB_PRIME_CAP", "50")
     assert main(["table", "--format", "csv"]) == 2
     monkeypatch.delenv("OPNLAB_PRIME_CAP")
@@ -700,18 +733,42 @@ def test_prime_cap_env_does_not_leak_across_calls(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cap", [None, "50"])
-def test_an_unchanged_prime_cap_keeps_the_sieve(cap, monkeypatch, capsys):
+def test_an_unchanged_prime_cap_keeps_the_sieve(cap, monkeypatch, capsys, set_cap):
     if cap is None:
         monkeypatch.delenv("OPNLAB_PRIME_CAP", raising=False)
     else:
         monkeypatch.setenv("OPNLAB_PRIME_CAP", cap)
-    try:
-        assert main(["sigma", "945"]) == 0
-        sieve = primes._default_sieve
-        assert main(["sigma", "945"]) == 0
-        assert primes._default_sieve is sieve
-    finally:
-        primes.set_prime_cap(primes.DEFAULT_PRIME_CAP)
+    assert main(["sigma", "945"]) == 0
+    sieve = primes._default_sieve
+    assert main(["sigma", "945"]) == 0
+    assert primes._default_sieve is sieve
+    # a changed cap, or a refused one, keeps the grown sieve as well, and
+    # every read past the cap in force raises the same text
+    sieve.ensure_count(2000)
+    state = sieve.limit, len(sieve.primes)
+
+    def through_main(value):
+        monkeypatch.setenv("OPNLAB_PRIME_CAP", value)
+        return main(["sigma", "945"]) == 0
+
+    def through_library(value):
+        try:
+            set_cap(int(value) if value.isdecimal() else value)
+        except InvalidArgument:
+            return False
+        return True
+
+    for setter in (through_main, through_library):
+        for value, in_force in (("50", 50), ("junk", 50), (str(10**6), 10**6)):
+            assert setter(value) is (value != "junk")
+            assert primes.prime_cap() == in_force
+            text = f"requested prime #{in_force + 1} exceeds the sieve cap of {in_force}"
+            for read in (primes.nth_prime, lambda k: primes.primes_window(1, k)):
+                with pytest.raises(ResourceLimit) as info:
+                    read(in_force + 1)
+                assert str(info.value) == text
+            assert primes._default_sieve is sieve
+            assert (sieve.limit, len(sieve.primes)) == state
 
 
 def test_warm_calls_build_no_parser(monkeypatch, capsys):

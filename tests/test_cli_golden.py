@@ -29,8 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opnlab import primes
 from opnlab.cli import main
-from opnlab.primes import DEFAULT_PRIME_CAP, set_prime_cap
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
 
@@ -107,7 +107,8 @@ def _call(argv, env):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(_STEPS), min_size=2, max_size=8))
 def test_one_process_replays_each_case_like_a_fresh_one(steps):
-    try:
+    with pytest.MonkeyPatch.context() as patch:  # restores the cap the last call set
+        patch.setattr(primes, "_cap", primes.prime_cap())
         for argv, env, want in steps:
             code, out, err = _call(argv, env)
             if want is None:
@@ -115,5 +116,3 @@ def test_one_process_replays_each_case_like_a_fresh_one(steps):
                 assert record == _golden()[tuple(argv)]
             else:
                 assert code == want, (argv, env, err)
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)

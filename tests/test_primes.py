@@ -87,7 +87,7 @@ def _at_digit_limit(limit, call):
         (lambda: is_prime(1000003.0), InvalidArgument, "n must be an integer"),
         (lambda: is_prime(7.0), InvalidArgument, "n must be an integer"),
         (lambda: factorize(945.0), InvalidArgument, "n must be an integer"),
-        (lambda: _Sieve(10.5), InvalidArgument, "prime cap must be an integer"),
+        (lambda: set_prime_cap(10.5), InvalidArgument, "prime cap must be an integer"),
         (
             lambda: nth_prime(-_HUGE),
             InvalidArgument,
@@ -326,15 +326,14 @@ def _flags_below_the_gcd_bound():
 
 def fresh_sieve_mismatches(ranges):
     """The n in ranges on which is_prime, over a fresh default sieve that
-    stays at its start bound 2048 throughout, disagrees with sieve_flags."""
+    stays at its start bound 2048 throughout, disagrees with sieve_flags.
+    It swaps the sieve in and out itself, so it also runs outside pytest."""
     flags = sieve_flags(max(r[-1] for r in ranges))
-    set_prime_cap(DEFAULT_PRIME_CAP)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primes, "_default_sieve", _Sieve())
         assert primes._default_sieve.limit == 2048
         mismatches = [n for r in ranges for n in r if is_prime(n) != bool(flags[n])]
         assert primes._default_sieve.limit == 2048
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
     return mismatches
 
 
@@ -376,17 +375,13 @@ def test_is_prime_agrees_with_sieve_oracle_on_a_fresh_sieve():
         (2039 * 2053, False),
     ],
 )
-def test_is_prime_across_the_gcd_bound_on_a_fresh_sieve(n, expected):
-    set_prime_cap(DEFAULT_PRIME_CAP)
-    try:
-        assert primes._default_sieve.limit == 2048
-        assert is_prime(n) is expected
-        assert prime_by_trial_division(n) is expected
-        if n < GCD_BOUND:
-            assert bool(_flags_below_the_gcd_bound()[n]) is expected
-        assert primes._default_sieve.limit == 2048
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
+def test_is_prime_across_the_gcd_bound_on_a_fresh_sieve(n, expected, fresh_sieve):
+    assert primes._default_sieve.limit == 2048
+    assert is_prime(n) is expected
+    assert prime_by_trial_division(n) is expected
+    if n < GCD_BOUND:
+        assert bool(_flags_below_the_gcd_bound()[n]) is expected
+    assert primes._default_sieve.limit == 2048
 
 
 @pytest.mark.parametrize(
@@ -402,8 +397,7 @@ def test_a_prime_set_sizes_its_gcd_to_its_largest_member(n):
     assert primes._first_nonprime((3, 5, n - 2, 4198379)) == (None if flags[n - 2] else n - 2)
 
 
-def test_strong_test_rejects_composites_past_psi_13():
-    set_prime_cap(DEFAULT_PRIME_CAP)  # a fresh sieve at the default cap
+def test_strong_test_rejects_composites_past_psi_13(fresh_sieve):
     n = (2**61 - 1) * (2**31 - 1)
     assert n > PSI[-1] and math.gcd(n, math.prod(range(1, 2049))) == 1
     assert not is_prime(n)
@@ -416,10 +410,11 @@ def test_strong_test_rejects_composites_past_psi_13():
 
 
 @pytest.mark.parametrize("grown", [False, True], ids=["cap_1", "grown_past_1e6"])
-def test_is_prime_does_not_depend_on_the_sieve(grown):
-    set_prime_cap(DEFAULT_PRIME_CAP if grown else 1)
+def test_is_prime_does_not_depend_on_the_sieve(grown, fresh_sieve, set_cap):
     if grown:
         nth_prime(78498)  # the last prime below 10^6
+    else:
+        set_cap(1)
     sieve = primes._default_sieve
     state = sieve.limit, len(sieve.primes)
 
@@ -430,10 +425,7 @@ def test_is_prime_does_not_depend_on_the_sieve(grown):
         assert primes._default_sieve is sieve
         assert (sieve.limit, len(sieve.primes)) == state
 
-    try:
-        agrees_with_trial_division()
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
+    agrees_with_trial_division()
 
 
 def test_factorize_examples():
@@ -589,11 +581,15 @@ def test_factorization_helpers():
     assert str(Factorization(())) == "1"
 
 
-def test_sieve_cap_is_enforced():
-    sieve = _Sieve(cap=10)
-    sieve.ensure_count(10)
-    with pytest.raises(ResourceLimit):
-        sieve.ensure_count(11)
+def test_sieve_cap_is_enforced(fresh_sieve, set_cap):
+    # the fresh sieve holds 309 primes, but the cap bounds every read
+    set_cap(10)
+    assert primes_window(1, 10)[-1] == 29
+    for read in (lambda: nth_prime(11), lambda: primes_window(5, 7)):
+        with pytest.raises(ResourceLimit) as info:
+            read()
+        assert str(info.value) == "requested prime #11 exceeds the sieve cap of 10"
+    assert len(fresh_sieve.primes) == 309
 
 
 @pytest.mark.parametrize(
@@ -639,15 +635,14 @@ def test_threads_growing_one_sieve_leave_exactly_its_primes():
     assert sieve.primes == [n for n in range(sieve.limit + 1) if flags[n]]
 
 
-def test_windows_read_while_other_threads_grow_the_sieve(monkeypatch):
+def test_windows_read_while_other_threads_grow_the_sieve(fresh_sieve):
     # two threads grow a fresh default sieve while two read windows at its
     # growth front, mostly without the lock; every window must be the
     # oracle's slice, so no reader sees a prime out of place
     top = 20_000
     flags = sieve_flags(224_737)  # p_20000
     oracle = [n for n in range(len(flags)) if flags[n]]
-    sieve = _Sieve()
-    monkeypatch.setattr(primes, "_default_sieve", sieve)
+    sieve = fresh_sieve
     start, wrong = threading.Barrier(4), []
 
     def grow(offset):
@@ -678,30 +673,24 @@ def test_windows_read_while_other_threads_grow_the_sieve(monkeypatch):
     assert wrong == []
 
 
-def test_nth_prime_beyond_cap_raises():
-    set_prime_cap(100)
-    try:
-        assert nth_prime(100) == 541
-        with pytest.raises(ResourceLimit):
-            nth_prime(101)
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
+def test_nth_prime_beyond_cap_raises(set_cap):
+    set_cap(100)
+    assert nth_prime(100) == 541
+    with pytest.raises(ResourceLimit):
+        nth_prime(101)
 
 
-def test_factorize_budget_exhaustion():
-    set_prime_cap(25)
-    try:
-        # product of two primes far beyond the 25-prime budget, not MR-prime
-        n = 1000003 * 1000033
-        with pytest.raises(ResourceLimit):
-            factorize(n)
-        # a large prime residual is still fine: the deterministic test accepts it
-        assert factorize(2 * 1000003).factors == ((2, 1), (1000003, 1))
-    finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
+def test_factorize_budget_exhaustion(set_cap):
+    set_cap(25)
+    # product of two primes far beyond the 25-prime budget, not MR-prime
+    n = 1000003 * 1000033
+    with pytest.raises(ResourceLimit):
+        factorize(n)
+    # a large prime residual is still fine: the deterministic test accepts it
+    assert factorize(2 * 1000003).factors == ((2, 1), (1000003, 1))
 
 
-def test_a_long_residual_is_quoted_by_its_head():
+def test_a_long_residual_is_quoted_by_its_head(set_cap):
     n = (10**4400 - 1) // 9
     residual = n
     for p in range(2, 100):  # the 25-prime budget: every prime below 100
@@ -713,11 +702,10 @@ def test_a_long_residual_is_quoted_by_its_head():
         text = str(residual)
         # Python's default limit
         sys.set_int_max_str_digits(4300)
-        set_prime_cap(25)
+        set_cap(25)
         with pytest.raises(ResourceLimit) as info:
             factorize(n)
     finally:
-        set_prime_cap(DEFAULT_PRIME_CAP)
         sys.set_int_max_str_digits(limit)
     assert len(text) > 4300
     assert str(info.value) == (

@@ -518,12 +518,9 @@ def _grown_sieve():
 
 
 def _screen_on(sieve, ps):
-    saved = primes._default_sieve
-    primes._default_sieve = sieve
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primes, "_default_sieve", sieve)
         return radical_screen(ps, Mode.AUTO)
-    finally:
-        primes._default_sieve = saved
 
 
 @settings(max_examples=150, deadline=None)
